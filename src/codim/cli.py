@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 usage/config error, 3 runtime/numerical error.
+Exit codes: 0 success, 2 usage/config error (also out-of-range config values
+and malformed partition inputs), 3 runtime/numerical error.
 Every run directory gets a resolved-config snapshot, a manifest, the
 machine-readable CSVs and checkpoints; stdout carries a short summary.
 """
@@ -18,14 +19,14 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (load_config, make_dataset, make_train_config,
+from .config import (MODE_ALIASES, load_config, make_dataset, make_train_config,
                      resolved_config_text)
 from .errors import ConfigError
 from .metrics import export_curves_svg, export_embeddings_2d, write_csv
 from .models import ModelTriple
 from .noise import fit_gmm_1d, make_partition
-from .trainers import (RUN_RECORD_HEADER, CodimTrainer, pretrain_selfcon,
-                       train_ce, train_codim, train_cssl)
+from .trainers import (MODES, RUN_RECORD_HEADER, pretrain_selfcon, train_ce,
+                       train_codim, train_cssl)
 
 
 def _build_id() -> str:
@@ -61,11 +62,11 @@ def cmd_gen(args) -> int:
     header = (["index"] + [f"x{i}" for i in range(ds.dim)]
               + ["clean_label", "noisy_label", "flip"])
     write_csv(os.path.join(out_dir, "train.csv"), header,
-              [[i, *(repr(v) for v in ds.x[i]), ds.clean_labels[i],
+              [[i, *ds.x[i].tolist(), ds.clean_labels[i],
                 ds.noisy_labels[i], int(ds.flip_mask[i])] for i in range(ds.n)])
     write_csv(os.path.join(out_dir, "test.csv"),
               ["index"] + [f"x{i}" for i in range(ds.dim)] + ["label"],
-              [[i, *(repr(v) for v in ds.test_x[i]), ds.test_labels[i]]
+              [[i, *ds.test_x[i].tolist(), ds.test_labels[i]]
                for i in range(len(ds.test_labels))])
     print(f"wrote {ds.n} train / {len(ds.test_labels)} test samples to {out_dir}")
     return 0
@@ -96,15 +97,14 @@ def cmd_train(args) -> int:
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
     if mode == "ce":
         net, record = train_ce(ds, cfg)
-        save_checkpoint(os.path.join(out_dir, "net_a.ckpt"), net.state_dict())
-        export_embeddings_2d(net, ds.test_x, ds.test_labels,
-                             os.path.join(out_dir, "embeddings.svg"))
+        nets = {"net_a": net}
     else:
         duo, record = train_codim(ds, cfg, pretrained_state=pretrained)
-        save_checkpoint(os.path.join(out_dir, "net_a.ckpt"), duo.net_a.state_dict())
-        save_checkpoint(os.path.join(out_dir, "net_b.ckpt"), duo.net_b.state_dict())
-        export_embeddings_2d(duo.net_a, ds.test_x, ds.test_labels,
-                             os.path.join(out_dir, "embeddings.svg"))
+        nets = {"net_a": duo.net_a, "net_b": duo.net_b}
+    for name, net in nets.items():
+        save_checkpoint(os.path.join(out_dir, f"{name}.ckpt"), net.state_dict())
+    export_embeddings_2d(nets["net_a"], ds.test_x, ds.test_labels,
+                         os.path.join(out_dir, "embeddings.svg"))
     record.to_csv(os.path.join(out_dir, "metrics.csv"))
     print(f"mode={mode}  Best: {100 * record.best_acc:.2f}  "
           f"Last: {100 * record.last_acc:.2f}")
@@ -137,19 +137,23 @@ def cmd_partition(args) -> int:
     if not os.path.exists(args.losses_csv):
         raise ConfigError(f"losses file not found: {args.losses_csv}")
     with open(args.losses_csv, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows and not rows[0][-1].replace(".", "", 1).lstrip("-").isdigit():
-        rows = rows[1:]  # header
+        rows = [row for row in csv.reader(fh) if row]
+    try:
+        float(rows[0][-1])
+    except (IndexError, ValueError):
+        rows = rows[1:]  # a header row, or no rows
     try:
         losses = np.array([float(r[-1]) for r in rows])
     except ValueError as exc:
         raise ConfigError(f"bad loss value in {args.losses_csv}: {exc}") from exc
+    if len(losses) == 0 or not np.isfinite(losses).all():
+        raise ConfigError(f"{args.losses_csv} needs one or more losses, all finite")
     gmm = fit_gmm_1d(losses)
     part = make_partition(gmm, losses, args.threshold)
     out = args.out or (os.path.splitext(args.losses_csv)[0] + "_partition.csv")
     write_csv(out, ["index", "clean_prob", "is_clean"],
-              [[i, repr(part.clean_prob[i]), int(part.clean_prob[i] >= args.threshold)]
-               for i in range(len(losses))])
+              [[i, p, int(p >= args.threshold)]
+               for i, p in enumerate(part.clean_prob.tolist())])
     print(f"components: means={gmm.means.round(4).tolist()} "
           f"weights={gmm.weights.round(4).tolist()}; "
           f"{len(part.clean_idx)}/{len(losses)} clean at threshold "
@@ -198,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="full noisy-label training pipeline")
     p.add_argument("config")
-    p.add_argument("--mode", choices=["bare", "cssl", "self", "sup", "ce",
-                                      "dividemix"], default=None)
+    p.add_argument("--mode", choices=[*MODES, *MODE_ALIASES], default=None)
     p.add_argument("--pretrained", default=None,
                    help="reuse a pretrain.ckpt instead of pre-training")
     p.set_defaults(func=cmd_train)

@@ -6,14 +6,16 @@ keys are a hard error so typos never pass silently.
 
 from __future__ import annotations
 
+import functools
 import os
+from dataclasses import fields
 
 from .contrastive import AugmentSpec
 from .data import BlobSpec, Dataset, RingSpec, gen_blobs, gen_rings
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .mixmatch import SslHyper
 from .noise import NoiseSpec, adjacent_pair_map
-from .trainers import TrainConfig
+from .trainers import MODES, TrainConfig
 
 
 def _bool(text: str) -> bool:
@@ -33,61 +35,44 @@ def _choice(*options):
     return parse
 
 
-# key -> (parser, default)
+# command-line modes beyond MODES -> the TrainConfig fields they set: "ce"
+# runs the CE baseline, which ignores mode; "dividemix" is bare phase 2
+# without pre-training
+MODE_ALIASES = {"ce": {"mode": "bare"},
+                "dividemix": {"mode": "bare", "pretrain_steps": 0}}
+
+_PARSERS = {"int": int, "float": float, "bool": _bool}
+
+
+def _keys(cls, **by_hand) -> dict[str, tuple]:
+    """SCHEMA entries for the fields of ``cls``, in field order: a field named
+    in ``by_hand`` gives the entries listed there, any other int, float or
+    bool field its own type and default; nested specs give none."""
+    out = {}
+    for f in fields(cls):
+        type_name = getattr(f.type, "__name__", f.type)  # str under PEP 563
+        if f.name in by_hand:
+            out.update(by_hand[f.name])
+        elif type_name in _PARSERS:
+            out[f.name] = (_PARSERS[type_name], f.default)
+    return out
+
+
+# key -> (parser, default); the scalar fields of the dataclasses give their own
 SCHEMA: dict[str, tuple] = {
-    # dataset
     "dataset": (_choice("blobs", "rings"), "blobs"),
-    "num_classes": (int, 4),
-    "dim": (int, 2),
-    "samples_per_class": (int, 750),
-    "class_separation": (float, 3.0),
-    "intra_std": (float, 1.0),
-    "data_seed": (int, 0),
-    # noise
+    **_keys(BlobSpec, seed={"data_seed": (int, 0)}),
     "noise_kind": (_choice("none", "symmetric", "asymmetric"), "symmetric"),
     "noise_ratio": (float, 0.4),
     "noise_seed": (int, 1),
     "redraw_over_all": (_bool, True),
-    # augmentation
-    "weak_jitter_sigma": (float, 0.1),
-    "strong_jitter_sigma": (float, 0.3),
-    "mask_prob": (float, 0.15),
-    "scale_lo": (float, 0.9),
-    "scale_hi": (float, 1.1),
-    # semi-supervised hyperparameters
-    "lambda_u": (float, 25.0),
-    "lambda_r": (float, 1.0),
-    "sharpen_t": (float, 0.5),
-    "mixup_alpha": (float, 4.0),
-    "num_augs": (int, 2),
-    "warmup_ramp_epochs": (int, 16),
-    "unlabeled_loss": (_choice("l2", "ce"), "l2"),
-    # training
-    "pretrain_steps": (int, 500),
-    "warmup_epochs": (int, 5),
-    "epochs": (int, 30),
-    "iters_per_epoch": (int, 30),
-    "batch_size": (int, 64),
-    "lr": (float, 0.05),
-    "lr_drop_epoch": (int, -1),
-    "lr_drop_factor": (float, 10.0),
-    "momentum": (float, 0.9),
-    "weight_decay": (float, 5e-4),
-    "lambda_cl": (float, 1.0),
-    "lambda_sup": (float, 1.0),
-    "lambda_self": (float, 1.0),
-    "tau1": (float, 0.5),
-    "tau2": (float, 0.5),
-    "tau3": (float, 0.07),
-    "mode": (_choice("bare", "cssl", "self", "sup", "ce", "dividemix"), "sup"),
-    "gmm_threshold": (float, 0.5),
-    "label_correction": (_bool, False),
-    "label_correction_epochs": (int, 50),
-    "label_correction_lr": (float, 0.05),
-    "feat_hidden": (str, "64,64"),
-    "proj_hidden": (int, 64),
-    "proj_dim": (int, 16),
-    "seed": (int, 0),
+    **_keys(AugmentSpec, scale_range={"scale_lo": (float, AugmentSpec.scale_range[0]),
+                                      "scale_hi": (float, AugmentSpec.scale_range[1])}),
+    **_keys(SslHyper, unlabeled_loss={
+        "unlabeled_loss": (_choice("l2", "ce"), SslHyper.unlabeled_loss)}),
+    **_keys(TrainConfig,
+            mode={"mode": (_choice(*MODES, *MODE_ALIASES), TrainConfig.mode)},
+            feat_hidden={"feat_hidden": (str, ",".join(map(str, TrainConfig.feat_hidden)))}),
     # run
     "labeled_ratio": (float, 0.2),
     "out_dir": (str, "runs/default"),
@@ -125,18 +110,30 @@ def resolved_config_text(values: dict) -> str:
     return "\n".join(f"{key} = {values[key]}" for key in SCHEMA) + "\n"
 
 
+def _rejected_as_config_error(make):
+    """A value the dataclasses reject is a config error (exit 2), not a
+    runtime failure."""
+    @functools.wraps(make)
+    def checked(values: dict, *args, **kwargs):
+        try:
+            return make(values, *args, **kwargs)
+        except ParameterError as exc:
+            raise ConfigError(f"rejected config value: {exc}") from exc
+    return checked
+
+
+def _build(cls, values: dict, **given):
+    """``cls`` with every field that is not ``given`` read from its key."""
+    return cls(**{f.name: values[f.name] for f in fields(cls)
+                  if f.name in values and f.name not in given}, **given)
+
+
+@_rejected_as_config_error
 def make_dataset(values: dict) -> Dataset:
     if values["dataset"] == "blobs":
-        ds = gen_blobs(BlobSpec(num_classes=values["num_classes"],
-                                dim=values["dim"],
-                                samples_per_class=values["samples_per_class"],
-                                class_separation=values["class_separation"],
-                                intra_std=values["intra_std"],
-                                seed=values["data_seed"]))
+        ds = gen_blobs(_build(BlobSpec, values, seed=values["data_seed"]))
     else:
-        ds = gen_rings(RingSpec(num_classes=values["num_classes"],
-                                samples_per_class=values["samples_per_class"],
-                                seed=values["data_seed"]))
+        ds = gen_rings(_build(RingSpec, values, seed=values["data_seed"]))
     if values["noise_kind"] != "none" and values["noise_ratio"] > 0:
         class_map = (adjacent_pair_map(ds.num_classes)
                      if values["noise_kind"] == "asymmetric" else None)
@@ -148,49 +145,13 @@ def make_dataset(values: dict) -> Dataset:
     return ds
 
 
+@_rejected_as_config_error
 def make_train_config(values: dict, mode: str | None = None) -> TrainConfig:
     mode = mode if mode is not None else values["mode"]
-    pretrain_steps = values["pretrain_steps"]
-    if mode == "dividemix":  # bare phase-2 without pre-training
-        mode, pretrain_steps = "bare", 0
-    if mode == "ce":
-        mode = "bare"  # mode is unused by the CE baseline trainer
     try:
         feat_hidden = tuple(int(s) for s in values["feat_hidden"].split(","))
     except ValueError as exc:
         raise ConfigError(f"bad feat_hidden {values['feat_hidden']!r}") from exc
-    return TrainConfig(
-        pretrain_steps=pretrain_steps,
-        warmup_epochs=values["warmup_epochs"],
-        epochs=values["epochs"],
-        iters_per_epoch=values["iters_per_epoch"],
-        batch_size=values["batch_size"],
-        lr=values["lr"],
-        lr_drop_epoch=values["lr_drop_epoch"],
-        lr_drop_factor=values["lr_drop_factor"],
-        momentum=values["momentum"],
-        weight_decay=values["weight_decay"],
-        lambda_cl=values["lambda_cl"],
-        lambda_sup=values["lambda_sup"],
-        lambda_self=values["lambda_self"],
-        tau1=values["tau1"], tau2=values["tau2"], tau3=values["tau3"],
-        mode=mode,
-        ssl=SslHyper(lambda_u=values["lambda_u"], lambda_r=values["lambda_r"],
-                     sharpen_t=values["sharpen_t"],
-                     mixup_alpha=values["mixup_alpha"],
-                     num_augs=values["num_augs"],
-                     warmup_ramp_epochs=values["warmup_ramp_epochs"],
-                     unlabeled_loss=values["unlabeled_loss"]),
-        aug=AugmentSpec(weak_jitter_sigma=values["weak_jitter_sigma"],
-                        strong_jitter_sigma=values["strong_jitter_sigma"],
-                        mask_prob=values["mask_prob"],
-                        scale_range=(values["scale_lo"], values["scale_hi"])),
-        gmm_threshold=values["gmm_threshold"],
-        label_correction=values["label_correction"],
-        label_correction_epochs=values["label_correction_epochs"],
-        label_correction_lr=values["label_correction_lr"],
-        feat_hidden=feat_hidden,
-        proj_hidden=values["proj_hidden"],
-        proj_dim=values["proj_dim"],
-        seed=values["seed"],
-    )
+    aug = _build(AugmentSpec, values, scale_range=(values["scale_lo"], values["scale_hi"]))
+    return _build(TrainConfig, values, **{"mode": mode, **MODE_ALIASES.get(mode, {})},
+                  feat_hidden=feat_hidden, ssl=_build(SslHyper, values), aug=aug)

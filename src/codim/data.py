@@ -51,7 +51,7 @@ class Dataset:
 class BlobSpec:
     num_classes: int = 4
     dim: int = 2
-    samples_per_class: int = 300
+    samples_per_class: int = 750
     class_separation: float = 3.0
     intra_std: float = 1.0
     seed: int = 0

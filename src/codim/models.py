@@ -7,12 +7,12 @@ either head populates trunk gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError
+from .errors import CheckpointError, DimensionError
 from .tensor import Tensor
 
 
@@ -64,17 +64,6 @@ class Mlp:
             out[f"{prefix}.{i}.w"] = w
             out[f"{prefix}.{i}.b"] = b
         return out
-
-    def load(self, values: dict[str, np.ndarray], prefix: str):
-        for i in range(len(self.weights)):
-            self.weights[i].data = np.array(values[f"{prefix}.{i}.w"])
-            self.biases[i].data = np.array(values[f"{prefix}.{i}.b"])
-
-    def copy_into(self, other: "Mlp"):
-        for src_w, dst_w in zip(self.weights, other.weights):
-            dst_w.data = src_w.data.copy()
-        for src_b, dst_b in zip(self.biases, other.biases):
-            dst_b.data = src_b.data.copy()
 
 
 @dataclass
@@ -147,9 +136,20 @@ class ModelTriple:
         return {name: p.data.copy() for name, p in self.params().items()}
 
     def load_state_dict(self, values: dict[str, np.ndarray]):
-        self.feat.load(values, "feat")
-        self.proj.load(values, "proj")
-        self.cls.load(values, "cls")
+        """Copy ``values`` into the parameters; they must match by name and
+        shape, else CheckpointError names the first one that does not."""
+        params = self.params()
+        for name in {**params, **values}:
+            if name not in values:
+                raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+            if name not in params:
+                raise CheckpointError(f"checkpoint has unexpected parameter {name!r}")
+            if np.shape(values[name]) != params[name].data.shape:
+                raise CheckpointError(
+                    f"parameter {name!r} has shape {np.shape(values[name])} in the "
+                    f"checkpoint, model expects {params[name].data.shape}")
+        for name, p in params.items():
+            p.data = np.array(values[name])
 
     def clone(self) -> "ModelTriple":
         other = ModelTriple(self.arch, seed=0)
@@ -160,8 +160,7 @@ class ModelTriple:
         """Copy with the trunk and projector bit-identical and a fresh classifier."""
         other = self.clone()
         rng = np.random.Generator(np.random.PCG64(seed))
-        fresh = Mlp([self.arch.repr_dim, self.arch.num_classes], rng)
-        fresh.copy_into(other.cls)
+        other.cls = Mlp([self.arch.repr_dim, self.arch.num_classes], rng)
         return other
 
 

@@ -60,17 +60,7 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
         order = []
-        seen = set()
-
-        def visit(node):
-            if node.node_id in seen:
-                return
-            seen.add(node.node_id)
-            for p in node._parents:
-                visit(p)
-            order.append(node)
-
-        visit(self)
+        _post_order(self, set(), order)
         for node in order:
             if node.requires_grad and node.grad is None:
                 node.grad = np.zeros_like(node.data)
@@ -94,6 +84,18 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, scale(_wrap(other), -1.0))
+
+
+def _post_order(node: Tensor, seen: set, order: list):
+    """Append ``node``'s graph to ``order``, parents first. Not a closure: a
+    recursive closure is a reference cycle that keeps the whole graph alive
+    until the cyclic garbage collector runs."""
+    if node.node_id in seen:
+        return
+    seen.add(node.node_id)
+    for p in node._parents:
+        _post_order(p, seen, order)
+    order.append(node)
 
 
 def _wrap(x) -> Tensor:

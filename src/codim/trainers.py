@@ -4,7 +4,8 @@ the frozen-encoder label-correction step."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .data import Dataset
 from .errors import ParameterError
 from .metrics import auc_score, consistency_metric, test_accuracy
 from .mixmatch import (SslHyper, build_semi_batch, co_refine, guess_labels,
-                       one_hot, semi_loss, sharpen)
+                       one_hot, semi_loss)
 from .models import Arch, DuoModel, Mlp, ModelTriple
 from .noise import partition_by_losses
 from .tensor import SGD, Tensor
@@ -58,9 +59,10 @@ class TrainConfig:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("pretrain_steps", "warmup_epochs", "epochs", "iters_per_epoch"):
             if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lr <= 0 or self.batch_size < 2:
-            raise ParameterError("lr must be positive and batch_size >= 2")
+            raise ParameterError("lr must be positive and batch_size >= 2, got "
+                                 f"lr = {self.lr}, batch_size = {self.batch_size}")
 
     def arch(self, input_dim: int, num_classes: int) -> Arch:
         return Arch(input_dim=input_dim, num_classes=num_classes,
@@ -70,6 +72,10 @@ class TrainConfig:
     def lr_at(self, epoch: int) -> float:
         drop = self.lr_drop_epoch if self.lr_drop_epoch >= 0 else self.epochs // 2
         return self.lr / self.lr_drop_factor if epoch >= drop else self.lr
+
+    def sgd(self, params: dict[str, Tensor], lr: float | None = None) -> SGD:
+        return SGD(params, lr=self.lr if lr is None else lr, momentum=self.momentum,
+                   weight_decay=self.weight_decay)
 
 
 @dataclass
@@ -86,9 +92,7 @@ class EpochMetrics:
     consistency: float
 
 
-RUN_RECORD_HEADER = ["epoch", "loss_x", "loss_u", "loss_reg", "loss_cl",
-                     "test_acc_a", "test_acc_b", "test_acc_ens",
-                     "partition_auc", "consistency"]
+RUN_RECORD_HEADER = [f.name for f in fields(EpochMetrics)]
 
 
 @dataclass
@@ -106,10 +110,8 @@ class RunRecord:
     def to_csv(self, path):
         from .metrics import write_csv
         write_csv(path, RUN_RECORD_HEADER,
-                  [[r.epoch, repr(r.loss_x), repr(r.loss_u), repr(r.loss_reg),
-                    repr(r.loss_cl), repr(r.test_acc_a), repr(r.test_acc_b),
-                    repr(r.test_acc_ens), repr(r.partition_auc),
-                    repr(r.consistency)] for r in self.rows])
+                  [[r.epoch, *(repr(getattr(r, k)) for k in RUN_RECORD_HEADER[1:])]
+                   for r in self.rows])
 
 
 def _rng(*entropy) -> np.random.Generator:
@@ -122,51 +124,52 @@ def _draw(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
     return rng.choice(pool, size=min(size, len(pool)), replace=False)
 
 
+def _step(opt: SGD, loss: Tensor) -> float:
+    """One SGD step on ``loss``; returns its value."""
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return loss.item()
+
+
+def _consistency(net: ModelTriple, dataset: Dataset, cfg: TrainConfig, tag: int) -> float:
+    return consistency_metric(net, dataset.x, cfg.aug, n_neighbors=8,
+                              rng=_rng(cfg.seed, 0xE5, tag))
+
+
 def pretrain_selfcon(dataset: Dataset, m: ModelTriple, cfg: TrainConfig) -> list[float]:
     """Self-supervised pre-training: SGD on trunk + projector only.
 
     Mutates ``m`` in place and returns the per-step loss curve.
     """
     rng = _rng(cfg.seed, 0xA1)
-    opt = SGD(m.backbone_params(), lr=cfg.lr, momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay)
+    opt = cfg.sgd(m.backbone_params())
     losses = []
     for _ in range(cfg.pretrain_steps):
         idx = _draw(rng, np.arange(dataset.n), cfg.batch_size)
         vb = make_view_batch(m, dataset.x[idx], None, cfg.aug, "strong", rng)
-        loss = self_con_loss(vb, cfg.tau1)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        losses.append(loss.item())
+        losses.append(_step(opt, self_con_loss(vb, cfg.tau1)))
     return losses
 
 
-def _ce_epoch(m: ModelTriple, opt: SGD, x, labels, num_classes, batch_size, rng):
-    order = rng.permutation(len(labels))
-    total, count = 0.0, 0
+def _ce_epoch(forward, opt: SGD, x: np.ndarray, targets: np.ndarray,
+              batch_size: int, rng: np.random.Generator):
+    """One shuffled pass of cross-entropy SGD steps over all rows."""
+    order = rng.permutation(len(targets))
     for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
-        loss = T.softmax_cross_entropy(m.forward_logits(x[idx]),
-                                       one_hot(labels[idx], num_classes))
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        total += loss.item()
-        count += 1
-    return total / max(count, 1)
+        _step(opt, T.softmax_cross_entropy(forward(x[idx]), targets[idx]))
 
 
 def warmup(dataset: Dataset, duo: DuoModel, warmup_epochs: int,
            cfg: TrainConfig) -> DuoModel:
     """Plain CE on all noisy labels for both networks, independent shuffles."""
+    targets = one_hot(dataset.noisy_labels, dataset.num_classes)
     for j, net in enumerate(duo.nets):
         rng = _rng(cfg.seed, 0xB2, j)
-        opt = SGD(net.params(), lr=cfg.lr, momentum=cfg.momentum,
-                  weight_decay=cfg.weight_decay)
+        opt = cfg.sgd(net.params())
         for _ in range(warmup_epochs):
-            _ce_epoch(net, opt, dataset.x, dataset.noisy_labels,
-                      dataset.num_classes, cfg.batch_size, rng)
+            _ce_epoch(net.forward_logits, opt, dataset.x, targets, cfg.batch_size, rng)
     return duo
 
 
@@ -177,20 +180,37 @@ def label_correction(dataset: Dataset, m: ModelTriple, cfg: TrainConfig) -> Data
     rng = _rng(cfg.seed, 0xC3)
     feats = m.feat.forward_np(dataset.x)
     head = Mlp([feats.shape[1], dataset.num_classes], rng)
-    opt = SGD(head.params("head"), lr=cfg.label_correction_lr,
-              momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    opt = cfg.sgd(head.params("head"), lr=cfg.label_correction_lr)
     targets = one_hot(dataset.noisy_labels, dataset.num_classes)
     for _ in range(cfg.label_correction_epochs):
-        order = rng.permutation(dataset.n)
-        for start in range(0, dataset.n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss = T.softmax_cross_entropy(head.forward(Tensor(feats[idx])),
-                                           targets[idx])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+        _ce_epoch(lambda f: head.forward(Tensor(f)), opt, feats, targets,
+                  cfg.batch_size, rng)
     new_labels = np.argmax(head.forward_np(feats), axis=1)
     return dataset.with_labels(new_labels)
+
+
+def _mixmatch_step(net: ModelTriple, guesser: DuoModel, opt: SGD, cfg: TrainConfig,
+                   x_lab: np.ndarray, targets: np.ndarray, x_unl: np.ndarray,
+                   epoch: int, rng: np.random.Generator, contrastive):
+    """One semi-supervised SGD step on ``net``: ``guesser`` co-guesses the
+    unlabeled rows' labels, both sides are strong-augmented and MixUp-ed, and
+    each ``(weight, term)`` pair from ``contrastive()`` is added to the loss
+    in turn. Returns the values of Lx, Lu, Lreg and the contrastive terms."""
+    if len(x_unl) > 0:
+        guessed = guess_labels(guesser, x_unl, cfg.aug, cfg.ssl, rng)
+        x_unl_s = augment(x_unl, cfg.aug, "strong", rng)
+    else:
+        x_unl_s, guessed = x_unl, np.zeros((0, targets.shape[1]))
+    x_lab_s = augment(x_lab, cfg.aug, "strong", rng)
+    batch = build_semi_batch(x_lab_s, targets, x_unl_s, guessed,
+                             cfg.ssl.mixup_alpha, rng)
+    lx, lu, lreg, total = semi_loss(net, batch, cfg.ssl, float(epoch))
+    # drawn after the mix, so the views follow it in the rng stream
+    terms = contrastive()
+    for weight, term in terms:
+        total = total + T.scale(term, weight)
+    _step(opt, total)
+    return lx.item(), lu.item(), lreg.item(), sum((t.item() for _, t in terms), 0.0)
 
 
 class CodimTrainer:
@@ -209,15 +229,6 @@ class CodimTrainer:
         self.post_warmup_consistency: float | None = None
         self.final_consistency: float | None = None
 
-    def _optimizers(self):
-        opts = []
-        for net in self.duo.nets:
-            params = net.params() if self.cfg.mode != "bare" else {
-                **net.feat.params("feat"), **net.cls.params("cls")}
-            opts.append(SGD(params, lr=self.cfg.lr, momentum=self.cfg.momentum,
-                            weight_decay=self.cfg.weight_decay))
-        return opts
-
     def prepare(self):
         """Phase 1: pre-train, build the duo, warm up, optional relabeling."""
         cfg = self.cfg
@@ -230,35 +241,34 @@ class CodimTrainer:
         warmup(self.dataset, self.duo, cfg.warmup_epochs, cfg)
         if cfg.label_correction:
             self.dataset = label_correction(self.dataset, self.base, cfg)
-        self.opts = self._optimizers()
+        # bare mode has no contrastive term, so its projector is not trained
+        self.opts = [cfg.sgd(net.params() if cfg.mode != "bare" else
+                             {**net.feat.params("feat"), **net.cls.params("cls")})
+                     for net in self.duo.nets]
         self.post_warmup_consistency = self.measure_consistency(0xFFFF)
 
-    def _contrastive_loss(self, net, x_lab, labels_lab, x_unl, rng):
+    def _contrastive_terms(self, net, x_lab, labels_lab, x_unl, rng):
         cfg = self.cfg
         if cfg.mode == "bare":
-            return None
+            return []
         clean_views = make_view_batch(net, x_lab, labels_lab, cfg.aug, "strong", rng)
         if cfg.mode == "self":
-            return self_con_loss(clean_views, cfg.tau2)
+            return [(cfg.lambda_cl, self_con_loss(clean_views, cfg.tau2))]
         l_cl = sup_con_loss(clean_views, cfg.tau3)
         if cfg.mode == "cssl" and len(x_unl) >= 2:
             noisy_views = make_view_batch(net, x_unl, None, cfg.aug, "strong", rng)
             l_cl = l_cl + self_con_loss(noisy_views, cfg.tau2)
-        return l_cl
+        return [(cfg.lambda_cl, l_cl)]
 
     def epoch(self, epoch: int) -> EpochMetrics:
         cfg, data = self.cfg, self.dataset
         for opt in self.opts:
             opt.lr = cfg.lr_at(epoch)
         # co-divide: each net's partition comes from the peer's losses
-        partitions = [
-            partition_by_losses(self.duo.net_b, data.x, data.noisy_labels,
-                                cfg.gmm_threshold),
-            partition_by_losses(self.duo.net_a, data.x, data.noisy_labels,
-                                cfg.gmm_threshold),
-        ]
-        sums = {"lx": 0.0, "lu": 0.0, "lreg": 0.0, "lcl": 0.0}
-        steps = 0
+        partitions = [partition_by_losses(peer, data.x, data.noisy_labels,
+                                          cfg.gmm_threshold)
+                      for peer in (self.duo.net_b, self.duo.net_a)]
+        sums, steps = [0.0] * 4, 0
         for it in range(cfg.iters_per_epoch):
             for j, (net, opt, part) in enumerate(zip(self.duo.nets, self.opts,
                                                      partitions)):
@@ -267,7 +277,7 @@ class CodimTrainer:
                 unl_idx = _draw(rng, part.noisy_idx, cfg.batch_size)
                 if len(lab_idx) < 2:
                     continue
-                x_lab = data.x[lab_idx]
+                x_lab, x_unl = data.x[lab_idx], data.x[unl_idx]
                 noisy_lab = data.noisy_labels[lab_idx]
                 # weak views answer label queries, strong views carry gradients
                 own_pred = np.zeros((len(lab_idx), data.num_classes))
@@ -277,50 +287,25 @@ class CodimTrainer:
                 refined = co_refine(part.clean_prob[lab_idx],
                                     one_hot(noisy_lab, data.num_classes),
                                     own_pred, cfg.ssl.sharpen_t)
-                if len(unl_idx) > 0:
-                    x_unl = data.x[unl_idx]
-                    guessed = guess_labels(self.duo, x_unl, cfg.aug, cfg.ssl, rng)
-                    x_unl_s = augment(x_unl, cfg.aug, "strong", rng)
-                else:
-                    x_unl = x_unl_s = np.zeros((0, data.dim))
-                    guessed = np.zeros((0, data.num_classes))
-                x_lab_s = augment(x_lab, cfg.aug, "strong", rng)
-                batch = build_semi_batch(x_lab_s, refined, x_unl_s, guessed,
-                                         cfg.ssl.mixup_alpha, rng)
-                lx, lu, lreg, l_semi = semi_loss(net, batch, cfg.ssl, float(epoch))
-                l_cl = self._contrastive_loss(net, x_lab, noisy_lab, x_unl, rng)
-                total = l_semi if l_cl is None else l_semi + T.scale(l_cl, cfg.lambda_cl)
-                opt.zero_grad()
-                total.backward()
-                opt.step()
-                sums["lx"] += lx.item()
-                sums["lu"] += lu.item()
-                sums["lreg"] += lreg.item()
-                sums["lcl"] += 0.0 if l_cl is None else l_cl.item()
+                losses = _mixmatch_step(
+                    net, self.duo, opt, cfg, x_lab, refined, x_unl, epoch, rng,
+                    partial(self._contrastive_terms, net, x_lab, noisy_lab, x_unl, rng))
+                sums = [s + v for s, v in zip(sums, losses)]
                 steps += 1
-        denom = max(steps, 1)
         if data.flip_mask.any() and not data.flip_mask.all():
             auc = float(np.mean([auc_score(p.clean_prob, ~data.flip_mask)
                                  for p in partitions]))
         else:
             auc = 0.5  # no planted noise to score against
-        return EpochMetrics(
-            epoch=epoch,
-            loss_x=sums["lx"] / denom, loss_u=sums["lu"] / denom,
-            loss_reg=sums["lreg"] / denom, loss_cl=sums["lcl"] / denom,
-            test_acc_a=test_accuracy(self.duo.net_a.predict_proba,
-                                     data.test_x, data.test_labels),
-            test_acc_b=test_accuracy(self.duo.net_b.predict_proba,
-                                     data.test_x, data.test_labels),
-            test_acc_ens=test_accuracy(self.duo.ensemble_proba,
-                                       data.test_x, data.test_labels),
-            partition_auc=auc,
-            consistency=self.measure_consistency(epoch),
-        )
+        accs = [test_accuracy(predict, data.test_x, data.test_labels)
+                for predict in (self.duo.net_a.predict_proba,
+                                self.duo.net_b.predict_proba, self.duo.ensemble_proba)]
+        return EpochMetrics(epoch, *(s / max(steps, 1) for s in sums), *accs,
+                            partition_auc=auc,
+                            consistency=self.measure_consistency(epoch))
 
     def measure_consistency(self, tag: int) -> float:
-        return consistency_metric(self.duo.net_a, self.dataset.x, self.cfg.aug,
-                                  n_neighbors=8, rng=_rng(self.cfg.seed, 0xE5, tag))
+        return _consistency(self.duo.net_a, self.dataset, self.cfg, tag)
 
     def run(self) -> tuple[DuoModel, RunRecord]:
         self.prepare()
@@ -339,33 +324,36 @@ def train_codim(dataset: Dataset, cfg: TrainConfig,
     return CodimTrainer(dataset, cfg, pretrained_state=pretrained_state).run()
 
 
-def train_ce(dataset: Dataset, cfg: TrainConfig) -> tuple[ModelTriple, RunRecord]:
-    """Cross-entropy baseline: one network, noisy labels, no pre-training."""
-    net = ModelTriple(cfg.arch(dataset.dim, dataset.num_classes), seed=cfg.seed)
-    opt = SGD(net.params(), lr=cfg.lr, momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay)
-    rng = _rng(cfg.seed, 0xF6)
+def _train_solo(net: ModelTriple, dataset: Dataset, cfg: TrainConfig, step) -> RunRecord:
+    """Epoch loop of the one-network trainers: ``step(opt, epoch, it)`` takes
+    one SGD step and returns its (Lx, Lu, Lreg, Lcl) values."""
+    opt = cfg.sgd(net.params())
     record = RunRecord()
     for epoch in range(cfg.epochs):
         opt.lr = cfg.lr_at(epoch)
-        loss = 0.0
-        for _ in range(cfg.iters_per_epoch):
-            idx = _draw(rng, np.arange(dataset.n), cfg.batch_size)
-            batch_loss = T.softmax_cross_entropy(
-                net.forward_logits(dataset.x[idx]),
-                one_hot(dataset.noisy_labels[idx], dataset.num_classes))
-            opt.zero_grad()
-            batch_loss.backward()
-            opt.step()
-            loss += batch_loss.item()
+        sums = [0.0] * 4
+        for it in range(cfg.iters_per_epoch):
+            sums = [s + v for s, v in zip(sums, step(opt, epoch, it))]
         acc = test_accuracy(net.predict_proba, dataset.test_x, dataset.test_labels)
         record.rows.append(EpochMetrics(
-            epoch=epoch, loss_x=loss / max(cfg.iters_per_epoch, 1), loss_u=0.0,
-            loss_reg=0.0, loss_cl=0.0, test_acc_a=acc, test_acc_b=acc,
-            test_acc_ens=acc, partition_auc=0.5,
-            consistency=consistency_metric(net, dataset.x, cfg.aug, 8,
-                                           _rng(cfg.seed, 0xE5, epoch))))
-    return net, record
+            epoch, *(s / max(cfg.iters_per_epoch, 1) for s in sums), acc, acc, acc,
+            partition_auc=0.5, consistency=_consistency(net, dataset, cfg, epoch)))
+    return record
+
+
+def train_ce(dataset: Dataset, cfg: TrainConfig) -> tuple[ModelTriple, RunRecord]:
+    """Cross-entropy baseline: one network, noisy labels, no pre-training."""
+    net = ModelTriple(cfg.arch(dataset.dim, dataset.num_classes), seed=cfg.seed)
+    rng = _rng(cfg.seed, 0xF6)
+
+    def step(opt, epoch, it):
+        idx = _draw(rng, np.arange(dataset.n), cfg.batch_size)
+        loss = T.softmax_cross_entropy(
+            net.forward_logits(dataset.x[idx]),
+            one_hot(dataset.noisy_labels[idx], dataset.num_classes))
+        return _step(opt, loss), 0.0, 0.0, 0.0
+
+    return net, _train_solo(net, dataset, cfg, step)
 
 
 def train_cssl(dataset: Dataset, labeled_mask: np.ndarray,
@@ -380,56 +368,28 @@ def train_cssl(dataset: Dataset, labeled_mask: np.ndarray,
     net = ModelTriple(cfg.arch(dataset.dim, dataset.num_classes), seed=cfg.seed)
     pretrain_selfcon(dataset, net, cfg)
     solo = DuoModel(net, net)  # co-guessing degenerates to single-net guessing
-    opt = SGD(net.params(), lr=cfg.lr, momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay)
     lab_pool = np.flatnonzero(labeled_mask)
     unl_pool = np.flatnonzero(~labeled_mask)
-    record = RunRecord()
-    for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr_at(epoch)
-        sums = {"lx": 0.0, "lu": 0.0, "lreg": 0.0, "lcl": 0.0}
-        for it in range(cfg.iters_per_epoch):
-            rng = _rng(cfg.seed, 0x17, epoch, it)
-            lab_idx = _draw(rng, lab_pool, cfg.batch_size)
-            unl_idx = _draw(rng, unl_pool, cfg.batch_size)
-            x_lab = dataset.x[lab_idx]
-            y_lab = one_hot(dataset.noisy_labels[lab_idx], dataset.num_classes)
-            if len(unl_idx) > 0:
-                x_unl = dataset.x[unl_idx]
-                guessed = guess_labels(solo, x_unl, cfg.aug, cfg.ssl, rng)
-                x_unl_s = augment(x_unl, cfg.aug, "strong", rng)
-            else:
-                x_unl = x_unl_s = np.zeros((0, dataset.dim))
-                guessed = np.zeros((0, dataset.num_classes))
-            x_lab_s = augment(x_lab, cfg.aug, "strong", rng)
-            batch = build_semi_batch(x_lab_s, y_lab, x_unl_s, guessed,
-                                     cfg.ssl.mixup_alpha, rng)
-            lx, lu, lreg, total = semi_loss(net, batch, cfg.ssl, float(epoch))
-            lcl_val = 0.0
-            if cfg.lambda_sup > 0 and len(lab_idx) >= 2:
-                vb = make_view_batch(net, x_lab, dataset.noisy_labels[lab_idx],
-                                     cfg.aug, "strong", rng)
-                l_sup = sup_con_loss(vb, cfg.tau3)
-                total = total + T.scale(l_sup, cfg.lambda_sup)
-                lcl_val += l_sup.item()
-            if cfg.lambda_self > 0 and len(unl_idx) >= 2:
+
+    def step(opt, epoch, it):
+        rng = _rng(cfg.seed, 0x17, epoch, it)
+        lab_idx = _draw(rng, lab_pool, cfg.batch_size)
+        unl_idx = _draw(rng, unl_pool, cfg.batch_size)
+        x_lab, x_unl = dataset.x[lab_idx], dataset.x[unl_idx]
+        labels = dataset.noisy_labels[lab_idx]
+
+        def contrastive():
+            terms = []
+            if cfg.lambda_sup > 0 and len(x_lab) >= 2:
+                vb = make_view_batch(net, x_lab, labels, cfg.aug, "strong", rng)
+                terms.append((cfg.lambda_sup, sup_con_loss(vb, cfg.tau3)))
+            if cfg.lambda_self > 0 and len(x_unl) >= 2:
                 vb = make_view_batch(net, x_unl, None, cfg.aug, "strong", rng)
-                l_self = self_con_loss(vb, cfg.tau2)
-                total = total + T.scale(l_self, cfg.lambda_self)
-                lcl_val += l_self.item()
-            opt.zero_grad()
-            total.backward()
-            opt.step()
-            sums["lx"] += lx.item()
-            sums["lu"] += lu.item()
-            sums["lreg"] += lreg.item()
-            sums["lcl"] += lcl_val
-        acc = test_accuracy(net.predict_proba, dataset.test_x, dataset.test_labels)
-        denom = max(cfg.iters_per_epoch, 1)
-        record.rows.append(EpochMetrics(
-            epoch=epoch, loss_x=sums["lx"] / denom, loss_u=sums["lu"] / denom,
-            loss_reg=sums["lreg"] / denom, loss_cl=sums["lcl"] / denom,
-            test_acc_a=acc, test_acc_b=acc, test_acc_ens=acc, partition_auc=0.5,
-            consistency=consistency_metric(net, dataset.x, cfg.aug, 8,
-                                           _rng(cfg.seed, 0xE5, epoch))))
-    return net, record
+                terms.append((cfg.lambda_self, self_con_loss(vb, cfg.tau2)))
+            return terms
+
+        return _mixmatch_step(net, solo, opt, cfg, x_lab,
+                              one_hot(labels, dataset.num_classes), x_unl, epoch,
+                              rng, contrastive)
+
+    return net, _train_solo(net, dataset, cfg, step)

@@ -2,6 +2,7 @@
 run-directory artifacts."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ import pytest
 from codim.cli import main
 from codim.config import (SCHEMA, load_config, make_dataset, make_train_config,
                           parse_config_text, resolved_config_text)
+from codim.contrastive import AugmentSpec
+from codim.data import BlobSpec, gen_blobs
 from codim.errors import ConfigError
+from codim.mixmatch import SslHyper
+from codim.noise import NoiseSpec
+from codim.trainers import TrainConfig
 
 
 SMALL_CONFIG = """
@@ -84,6 +90,8 @@ def test_make_dataset_and_train_config(tmp_path):
     assert cfg.feat_hidden == (8, 8) and cfg.mode == "sup"
     cfg_dm = make_train_config(values, mode="dividemix")
     assert cfg_dm.mode == "bare" and cfg_dm.pretrain_steps == 0
+    cfg_ce = make_train_config(parse_config_text(SMALL_CONFIG + "mode = ce\n"))
+    assert cfg_ce.mode == "bare" and cfg_ce.pretrain_steps == 10
 
 
 def test_asymmetric_dataset_uses_adjacent_pairs():
@@ -189,3 +197,103 @@ def test_cli_report(tmp_path, capsys):
         assert os.path.exists(os.path.join(out_dir, svg))
     assert "Best:" in capsys.readouterr().out
     assert main(["report", str(tmp_path / "empty")]) == 2
+
+
+def test_cli_partition_headerless_scientific_first_row(tmp_path):
+    path = tmp_path / "losses.csv"
+    losses = [1e-05] + [0.1 + 0.001 * i for i in range(300)] + [
+        0.9 + 0.001 * i for i in range(120)]
+    path.write_text("\n".join(f"{i},{v}" for i, v in enumerate(losses)) + "\n")
+    assert main(["partition", str(path)]) == 0
+    rows = (tmp_path / "losses_partition.csv").read_text().splitlines()
+    assert len(rows) == 1 + 421
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_partition_non_finite_loss_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "losses.csv"
+    path.write_text("index,loss\n0,0.1\n1," + bad + "\n2,0.9\n3,0.2\n")
+    assert main(["partition", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "losses_partition.csv").exists()
+
+
+def test_cli_csv_cells_are_plain_numbers(tmp_path):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["gen", cfg]) == 0
+    losses = tmp_path / "losses.csv"
+    losses.write_text("index,loss\n" + "\n".join(
+        f"{i},{0.1 if i % 3 else 0.9 + 0.01 * i}" for i in range(60)) + "\n")
+    assert main(["partition", str(losses)]) == 0
+    for path in (os.path.join(out_dir, "train.csv"), os.path.join(out_dir, "test.csv"),
+                 str(tmp_path / "losses_partition.csv")):
+        lines = open(path).read().splitlines()
+        assert len(lines) > 1
+        for line in lines[1:]:
+            for cell in line.split(","):
+                float(cell)
+
+
+def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path, "lr = 0\n")
+    assert main(["train", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "lr = 0.0" in err
+    cfg, _ = write_config(tmp_path, "sharpen_t = 2\n")
+    assert main(["train", cfg]) == 2
+    cfg, _ = write_config(tmp_path, "intra_std = -1\n")
+    assert main(["gen", cfg]) == 2
+
+
+def test_cli_pretrained_checkpoint_of_other_width_exits_3(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["pretrain", cfg]) == 0
+    ckpt = os.path.join(out_dir, "pretrain.ckpt")
+    wide, _ = write_config(tmp_path, "feat_hidden = 16,16\n")
+    assert main(["train", wide, "--pretrained", ckpt]) == 3
+    err = capsys.readouterr().err
+    assert "CheckpointError" in err and "'feat.0.w'" in err
+
+
+# ------------------------------------------------------------- one source of defaults
+
+def test_empty_config_gives_dataclass_defaults():
+    assert make_train_config(parse_config_text("")) == TrainConfig()
+
+
+def test_empty_config_dataset_is_default_blobs():
+    ds = make_dataset(parse_config_text(""))
+    want = gen_blobs(BlobSpec()).with_noise(NoiseSpec("symmetric", 0.4, seed=1))
+    assert ds.n == want.n == 2000
+    for name in ("x", "clean_labels", "noisy_labels", "flip_mask", "test_x",
+                 "test_labels"):
+        assert np.array_equal(getattr(ds, name), getattr(want, name))
+
+
+def test_every_train_field_is_settable_from_config():
+    by_hand = {"mode": "cssl", "unlabeled_loss": "ce", "feat_hidden": "16,8",
+               "scale_range": "scale_lo = 0.8\nscale_hi = 1.3"}
+    wanted = {"mode": "cssl", "unlabeled_loss": "ce", "feat_hidden": (16, 8),
+              "scale_range": (0.8, 1.3)}
+    for owner, path in ((TrainConfig(), ()), (SslHyper(), ("ssl",)),
+                        (AugmentSpec(), ("aug",))):
+        for f in fields(owner):
+            if f.name in ("ssl", "aug"):
+                continue
+            default = getattr(owner, f.name)
+            if f.name in by_hand:
+                line, want = by_hand[f.name], wanted[f.name]
+                if "=" not in line:
+                    line = f"{f.name} = {line}"
+            elif isinstance(default, bool):
+                want = not default
+                line = f"{f.name} = {want}"
+            elif isinstance(default, (int, float)):
+                want = default + 1 if isinstance(default, int) else default / 2
+                line = f"{f.name} = {want}"
+            else:
+                raise AssertionError(f"no config line covers field {f.name!r}")
+            got = make_train_config(parse_config_text(line + "\n"))
+            for attr in path:
+                got = getattr(got, attr)
+            assert getattr(got, f.name) == want != default, f.name

@@ -138,3 +138,20 @@ def test_checkpoint_corruption_errors(tmp_path):
     cut.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError, match="truncated payload"):
         load_checkpoint(cut)
+
+
+def test_load_state_dict_names_mismatched_parameter():
+    m = make_model(0)
+    before = m.state_dict()
+    state = make_model(1).state_dict()
+    missing = {k: v for k, v in state.items() if k != "proj.1.b"}
+    with pytest.raises(CheckpointError, match="lacks parameter 'proj.1.b'"):
+        m.load_state_dict(missing)
+    with pytest.raises(CheckpointError, match="unexpected parameter 'extra.0.w'"):
+        m.load_state_dict({**state, "extra.0.w": np.zeros(2)})
+    wrong = {**state, "feat.1.w": np.zeros((8, 8))}
+    with pytest.raises(CheckpointError, match=r"'feat.1.w' has shape \(8, 8\)"):
+        m.load_state_dict(wrong)
+    # a rejected state dict leaves the model untouched
+    for name, value in m.state_dict().items():
+        assert np.array_equal(value, before[name])

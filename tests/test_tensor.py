@@ -1,5 +1,7 @@
 """Autodiff core: value examples, finite-difference checks, graph semantics."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,19 @@ def test_gradient_accumulates_across_shared_use():
     loss = T.tsum(a + a)  # a used twice
     loss.backward()
     assert np.array_equal(a.grad, 2.0 * np.ones((3, 3)))
+
+
+def test_backward_leaves_no_garbage_cycle():
+    """The graph is freed by reference counting, not left for the cyclic
+    collector, so a training loop's memory does not grow between collections."""
+    w = leaf(rng_for(8), 3, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        T.tsum(T.relu(T.matmul(Tensor(np.ones((4, 3))), w))).backward()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_broadcast_add_unbroadcasts_gradient():
