@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 usage/config error (also out-of-range config values
-and malformed partition inputs), 3 runtime/numerical error.
+Exit codes: 0 success, 2 usage/config error (also out-of-range config values,
+malformed partition inputs and a threshold outside [0, 1]), 3 runtime/numerical
+error (also a non-finite training loss or non-finite predictions).
 Every run directory gets a resolved-config snapshot, a manifest, the
 machine-readable CSVs and checkpoints; stdout carries a short summary.
 """
@@ -117,8 +118,8 @@ def cmd_cssl(args) -> int:
         values["labeled_ratio"] = args.labeled_ratio
     if not 0.0 < values["labeled_ratio"] <= 1.0:
         raise ConfigError("labeled_ratio must be in (0, 1]")
-    out_dir = _prepare_run_dir(values)
     values["noise_kind"] = "none"  # trusted-label setting
+    out_dir = _prepare_run_dir(values)
     ds = make_dataset(values)
     cfg = make_train_config(values)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -134,6 +135,8 @@ def cmd_cssl(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
     if not os.path.exists(args.losses_csv):
         raise ConfigError(f"losses file not found: {args.losses_csv}")
     with open(args.losses_csv, newline="") as fh:

@@ -74,8 +74,19 @@ def blob_means(num_classes: int, dim: int, separation: float) -> np.ndarray:
     return means
 
 
-def _split_train_test(x, labels, num_classes):
-    """Stratified 2:1 train/test split, deterministic order."""
+def _clean(x, labels, test_x, test_labels, num_classes: int) -> Dataset:
+    """A Dataset whose training labels are all still clean."""
+    return Dataset(x=x, clean_labels=labels, noisy_labels=labels.copy(),
+                   flip_mask=np.zeros(len(labels), dtype=bool),
+                   test_x=test_x, test_labels=test_labels, num_classes=num_classes)
+
+
+def _shuffled_split(xs, ys, num_classes: int, rng: np.random.Generator) -> Dataset:
+    """Permute the concatenated per-class rows, then split each class 2:1
+    into train/test, class by class in permuted order."""
+    x, labels = np.concatenate(xs), np.concatenate(ys)
+    perm = rng.permutation(len(labels))
+    x, labels = x[perm], labels[perm]
     train_idx, test_idx = [], []
     for c in range(num_classes):
         idx = np.flatnonzero(labels == c)
@@ -84,7 +95,8 @@ def _split_train_test(x, labels, num_classes):
         test_idx.extend(idx[n_train:])
     train_idx = np.array(train_idx, dtype=np.intp)
     test_idx = np.array(test_idx, dtype=np.intp)
-    return x[train_idx], labels[train_idx], x[test_idx], labels[test_idx]
+    return _clean(x[train_idx], labels[train_idx], x[test_idx], labels[test_idx],
+                  num_classes)
 
 
 def gen_blobs(spec: BlobSpec) -> Dataset:
@@ -96,14 +108,7 @@ def gen_blobs(spec: BlobSpec) -> Dataset:
         xs.append(means[c] + rng.normal(0.0, spec.intra_std,
                                         size=(spec.samples_per_class, spec.dim)))
         ys.append(np.full(spec.samples_per_class, c, dtype=np.intp))
-    x = np.concatenate(xs)
-    labels = np.concatenate(ys)
-    perm = rng.permutation(len(labels))
-    x, labels = x[perm], labels[perm]
-    tr_x, tr_y, te_x, te_y = _split_train_test(x, labels, spec.num_classes)
-    return Dataset(x=tr_x, clean_labels=tr_y, noisy_labels=tr_y.copy(),
-                   flip_mask=np.zeros(len(tr_y), dtype=bool),
-                   test_x=te_x, test_labels=te_y, num_classes=spec.num_classes)
+    return _shuffled_split(xs, ys, spec.num_classes, rng)
 
 
 @dataclass
@@ -126,14 +131,7 @@ def gen_rings(spec: RingSpec) -> Dataset:
         r = radius + rng.normal(0.0, spec.radial_std, size=spec.samples_per_class)
         xs.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
         ys.append(np.full(spec.samples_per_class, c, dtype=np.intp))
-    x = np.concatenate(xs)
-    labels = np.concatenate(ys)
-    perm = rng.permutation(len(labels))
-    x, labels = x[perm], labels[perm]
-    tr_x, tr_y, te_x, te_y = _split_train_test(x, labels, spec.num_classes)
-    return Dataset(x=tr_x, clean_labels=tr_y, noisy_labels=tr_y.copy(),
-                   flip_mask=np.zeros(len(tr_y), dtype=bool),
-                   test_x=te_x, test_labels=te_y, num_classes=spec.num_classes)
+    return _shuffled_split(xs, ys, spec.num_classes, rng)
 
 
 def _read_idx(path, expected_magic: int):
@@ -203,8 +201,5 @@ def load_idx(images_path, labels_path, max_samples: int | None = None,
     num_classes = int(labels.max()) + 1 if len(labels) else 0
     test_sel = np.zeros(len(labels), dtype=bool)
     test_sel[2::3] = True
-    return Dataset(x=x[~test_sel], clean_labels=labels[~test_sel],
-                   noisy_labels=labels[~test_sel].copy(),
-                   flip_mask=np.zeros(int((~test_sel).sum()), dtype=bool),
-                   test_x=x[test_sel], test_labels=labels[test_sel],
-                   num_classes=num_classes)
+    return _clean(x[~test_sel], labels[~test_sel], x[test_sel], labels[test_sel],
+                  num_classes)

@@ -27,18 +27,12 @@ def auc_score(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = (~positives).sum()
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInputError("auc_score needs both positives and negatives")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    rank = 1.0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (rank + rank + (j - i)) / 2.0
-        rank += j - i + 1
-        i = j + 1
+    if not np.isfinite(scores).all():
+        raise DegenerateInputError("auc_score: scores must be finite")
+    # a tie group holding ranks first..last gets their mean
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    ranks = ((last - counts + 1 + last) / 2.0)[group]
     rank_sum = ranks[positives].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -114,11 +108,7 @@ def export_embeddings_2d(m: ModelTriple, x: np.ndarray, labels: np.ndarray,
     span = np.maximum(pts.max(axis=0) - lo, 1e-12)
     margin = 30
     scaled = margin + (pts - lo) / span * (size - 2 * margin)
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    lines = []
     for (px, py), lab in zip(scaled, labels):
         color = _PALETTE[lab % len(_PALETTE)]
         lines.append(f'<circle cx="{px:.2f}" cy="{size - py:.2f}" r="2.5" '
@@ -129,9 +119,7 @@ def export_embeddings_2d(m: ModelTriple, x: np.ndarray, labels: np.ndarray,
         lines.append(f'<circle cx="12" cy="{y}" r="4" fill="{color}"/>')
         lines.append(f'<text x="22" y="{y + 4}" font-size="12" '
                      f'font-family="sans-serif">class {c}</text>')
-    lines.append("</svg>")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_svg(out_path, size, size, lines)
 
 
 def export_curves_svg(series: dict[str, list[float]], out_path,
@@ -144,13 +132,8 @@ def export_curves_svg(series: dict[str, list[float]], out_path,
     lo, hi = float(all_vals.min()), float(all_vals.max())
     span = max(hi - lo, 1e-12)
     n = max(len(v) for v in series.values())
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{margin}" y="16" font-size="12" font-family="sans-serif">'
-        f'range [{lo:.4g}, {hi:.4g}]</text>',
-    ]
+    lines = [f'<text x="{margin}" y="16" font-size="12" font-family="sans-serif">'
+             f'range [{lo:.4g}, {hi:.4g}]</text>']
     for i, (name, vals) in enumerate(sorted(series.items())):
         color = _PALETTE[i % len(_PALETTE)]
         pts = []
@@ -163,8 +146,15 @@ def export_curves_svg(series: dict[str, list[float]], out_path,
         y = 32 + 14 * i
         lines.append(f'<text x="{width - margin - 120}" y="{y}" font-size="12" '
                      f'fill="{color}" font-family="sans-serif">{name}</text>')
-    lines.append("</svg>")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    _write_svg(out_path, width, height, lines)
+
+
+def _write_svg(path, width: int, height: int, body: list[str]):
+    """A deterministic SVG file: white canvas, then the ``body`` elements."""
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{width}" height="{height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>', *body, "</svg>"]
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -59,19 +59,26 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return eye[np.asarray(labels, dtype=np.intp)]
 
 
+def mean_weak_proba(nets: tuple[ModelTriple, ...], x: np.ndarray, spec: AugmentSpec,
+                    num_augs: int, rng: np.random.Generator) -> np.ndarray:
+    """Mean softmax of every net in ``nets`` over ``num_augs`` shared weak views."""
+    acc = np.zeros((x.shape[0], nets[0].arch.num_classes))
+    for _ in range(num_augs):
+        view = augment(x, spec, "weak", rng)
+        for net in nets:
+            acc += net.predict_proba(view)
+    acc /= len(nets) * num_augs
+    return acc
+
+
 def guess_labels(duo: DuoModel, u: np.ndarray, spec: AugmentSpec,
                  hyper: SslHyper, rng: np.random.Generator) -> np.ndarray:
     """Co-guessing: average both nets' softmax over weak views, then sharpen."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape[0] < 1:
         raise DegenerateInputError("guess_labels: empty batch")
-    acc = np.zeros((u.shape[0], duo.net_a.arch.num_classes))
-    for _ in range(hyper.num_augs):
-        view = augment(u, spec, "weak", rng)
-        acc += duo.net_a.predict_proba(view)
-        acc += duo.net_b.predict_proba(view)
-    acc /= 2 * hyper.num_augs
-    return sharpen(acc, hyper.sharpen_t)
+    return sharpen(mean_weak_proba(duo.nets, u, spec, hyper.num_augs, rng),
+                   hyper.sharpen_t)
 
 
 def co_refine(clean_prob: np.ndarray, noisy_one_hot: np.ndarray,

@@ -119,17 +119,11 @@ class ModelTriple:
         e = np.exp(logits)
         return e / e.sum(axis=1, keepdims=True)
 
-    def params(self) -> dict[str, Tensor]:
+    def params(self, *heads: str) -> dict[str, Tensor]:
+        """Parameters of the named heads, all three ("feat", "proj", "cls") by default."""
         out = {}
-        out.update(self.feat.params("feat"))
-        out.update(self.proj.params("proj"))
-        out.update(self.cls.params("cls"))
-        return out
-
-    def backbone_params(self) -> dict[str, Tensor]:
-        out = {}
-        out.update(self.feat.params("feat"))
-        out.update(self.proj.params("proj"))
+        for head in heads or ("feat", "proj", "cls"):
+            out.update(getattr(self, head).params(head))
         return out
 
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -78,6 +78,8 @@ def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec):
 def per_sample_losses(m: ModelTriple, x: np.ndarray, noisy_labels: np.ndarray) -> np.ndarray:
     """Per-sample CE of the noisy label, min-max normalized to [0, 1]."""
     probs = m.predict_proba(x)
+    if not np.isfinite(probs).all():
+        raise DegenerateInputError("per_sample_losses: non-finite predictions")
     n = len(noisy_labels)
     losses = -np.log(np.maximum(probs[np.arange(n), np.asarray(noisy_labels, dtype=np.intp)],
                                 1e-300))
@@ -99,8 +101,12 @@ class GmmParams:
     ll_history: list[float] = field(default_factory=list)
 
 
-def _gauss_pdf(x, mean, var):
-    return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
+def _densities(values, weights, means, variances):
+    """Per-component weighted densities and their totals floored at 1e-300."""
+    dens = np.stack([w * (np.exp(-0.5 * (values - mu) ** 2 / var)
+                          / np.sqrt(2.0 * np.pi * var))
+                     for w, mu, var in zip(weights, means, variances)])
+    return dens, np.maximum(dens.sum(axis=0), 1e-300)
 
 
 def fit_gmm_1d(values: np.ndarray, max_iter: int = 100, tol: float = 1e-6,
@@ -115,6 +121,8 @@ def fit_gmm_1d(values: np.ndarray, max_iter: int = 100, tol: float = 1e-6,
     n = len(values)
     if n < 10:
         raise DegenerateInputError("fit_gmm_1d needs at least 10 values")
+    if not np.isfinite(values).all():
+        raise DegenerateInputError("fit_gmm_1d: values must be finite")
     if values.max() - values.min() < 1e-6:
         raise DegenerateInputError("fit_gmm_1d: values are (nearly) constant")
 
@@ -131,9 +139,7 @@ def fit_gmm_1d(values: np.ndarray, max_iter: int = 100, tol: float = 1e-6,
     prev_ll = -np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        dens = np.stack([w * _gauss_pdf(values, mu, var)
-                         for w, mu, var in zip(weights, means, variances)])
-        totals = np.maximum(dens.sum(axis=0), 1e-300)
+        dens, totals = _densities(values, weights, means, variances)
         ll = float(np.log(totals).sum())
         ll_history.append(ll)
         resp = dens / totals
@@ -164,18 +170,19 @@ class Partition:
     noisy_idx: np.ndarray
     threshold: float
 
+    @classmethod
+    def split(cls, clean_prob: np.ndarray, threshold: float) -> "Partition":
+        """Clean = ``clean_prob >= threshold``, for a threshold in [0, 1]."""
+        is_clean = clean_prob >= threshold
+        return cls(clean_prob=clean_prob, clean_idx=np.flatnonzero(is_clean),
+                   noisy_idx=np.flatnonzero(~is_clean), threshold=threshold)
+
 
 def make_partition(g: GmmParams, values: np.ndarray, threshold: float) -> Partition:
     """Clean probability = posterior of the low-mean component at each value."""
-    values = np.asarray(values, dtype=np.float64)
-    dens = np.stack([w * _gauss_pdf(values, mu, var)
-                     for w, mu, var in zip(g.weights, g.means, g.variances)])
-    clean_prob = dens[0] / np.maximum(dens.sum(axis=0), 1e-300)
-    is_clean = clean_prob >= threshold
-    return Partition(clean_prob=clean_prob,
-                     clean_idx=np.flatnonzero(is_clean),
-                     noisy_idx=np.flatnonzero(~is_clean),
-                     threshold=threshold)
+    dens, totals = _densities(np.asarray(values, dtype=np.float64),
+                              g.weights, g.means, g.variances)
+    return Partition.split(dens[0] / totals, threshold)
 
 
 def partition_by_losses(m: ModelTriple, x: np.ndarray, noisy_labels: np.ndarray,
@@ -190,14 +197,11 @@ def partition_by_losses(m: ModelTriple, x: np.ndarray, noisy_labels: np.ndarray,
     try:
         g = fit_gmm_1d(losses)
     except DegenerateInputError:
-        return Partition(clean_prob=np.ones(n), clean_idx=np.arange(n),
-                         noisy_idx=np.array([], dtype=np.intp), threshold=threshold)
+        return Partition.split(np.ones(n), threshold)
     part = make_partition(g, losses, threshold)
     if len(part.clean_idx) == 0:
         keep = np.argsort(losses)[: max(1, n // 10)]
         clean_prob = part.clean_prob.copy()
         clean_prob[keep] = np.maximum(clean_prob[keep], threshold)
-        part = Partition(clean_prob=clean_prob, clean_idx=np.sort(keep),
-                         noisy_idx=np.setdiff1d(np.arange(n), keep),
-                         threshold=threshold)
+        part = Partition.split(clean_prob, threshold)
     return part

@@ -9,20 +9,11 @@ between heads works out of the box.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, ContractError
 
 EPS_NORM = 1e-12
-
-_node_counter = itertools.count()
-
-
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
 
 
 class Tensor:
@@ -33,15 +24,14 @@ class Tensor:
     ``requires_grad=True`` act as parameters.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "node_id")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = tuple(parents)
         self._backward = backward
-        self.node_id = next(_node_counter)
 
     @property
     def shape(self):
@@ -52,9 +42,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         if self.data.size != 1:
@@ -73,15 +60,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __sub__(self, other):
         return add(self, scale(_wrap(other), -1.0))
 
@@ -90,9 +68,9 @@ def _post_order(node: Tensor, seen: set, order: list):
     """Append ``node``'s graph to ``order``, parents first. Not a closure: a
     recursive closure is a reference cycle that keeps the whole graph alive
     until the cyclic garbage collector runs."""
-    if node.node_id in seen:
+    if node in seen:
         return
-    seen.add(node.node_id)
+    seen.add(node)
     for p in node._parents:
         _post_order(p, seen, order)
     order.append(node)
@@ -243,10 +221,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
+    n = a.data.size if axis is None else a.data.shape[axis]
     return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -305,7 +280,7 @@ def softmax_cross_entropy(logits, targets) -> Tensor:
     treated as constants.
     """
     logits = _wrap(logits)
-    targets = _as_array(targets)
+    targets = np.asarray(targets, dtype=np.float64)
     if logits.data.shape != targets.shape:
         raise DimensionError(
             f"softmax_cross_entropy: logits {logits.shape} vs targets {targets.shape}"
@@ -332,17 +307,6 @@ def l2_normalize(v) -> Tensor:
     sq = tsum(mul(v, v), axis=1, keepdims=True)
     inv = pow_const(sq, -0.5)
     return mul(v, inv)
-
-
-def l2_distance(pred, target) -> Tensor:
-    """Mean over rows of the squared Euclidean distance between row pairs."""
-    pred, target = _wrap(pred), _wrap(target)
-    if pred.data.shape != target.data.shape:
-        raise DimensionError(
-            f"l2_distance: shapes {pred.shape} and {target.shape} differ"
-        )
-    diff = pred - target
-    return tmean(tsum(mul(diff, diff), axis=1))
 
 
 class SGD:

@@ -13,10 +13,10 @@ from . import tensor as T
 from .contrastive import (AugmentSpec, augment, make_view_batch, self_con_loss,
                           sup_con_loss)
 from .data import Dataset
-from .errors import ParameterError
+from .errors import DegenerateInputError, ParameterError
 from .metrics import auc_score, consistency_metric, test_accuracy
 from .mixmatch import (SslHyper, build_semi_batch, co_refine, guess_labels,
-                       one_hot, semi_loss)
+                       mean_weak_proba, one_hot, semi_loss)
 from .models import Arch, DuoModel, Mlp, ModelTriple
 from .noise import partition_by_losses
 from .tensor import SGD, Tensor
@@ -60,6 +60,8 @@ class TrainConfig:
         for name in ("pretrain_steps", "warmup_epochs", "epochs", "iters_per_epoch"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.gmm_threshold <= 1.0:
+            raise ParameterError(f"gmm_threshold = {self.gmm_threshold} is outside [0, 1]")
         if self.lr <= 0 or self.batch_size < 2:
             raise ParameterError("lr must be positive and batch_size >= 2, got "
                                  f"lr = {self.lr}, batch_size = {self.batch_size}")
@@ -125,11 +127,15 @@ def _draw(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
 
 
 def _step(opt: SGD, loss: Tensor) -> float:
-    """One SGD step on ``loss``; returns its value."""
+    """One SGD step on ``loss``; returns its value. A non-finite loss raises
+    before any gradient is computed or parameter moved."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise DegenerateInputError(f"training loss is {value}")
     opt.zero_grad()
     loss.backward()
     opt.step()
-    return loss.item()
+    return value
 
 
 def _consistency(net: ModelTriple, dataset: Dataset, cfg: TrainConfig, tag: int) -> float:
@@ -143,7 +149,7 @@ def pretrain_selfcon(dataset: Dataset, m: ModelTriple, cfg: TrainConfig) -> list
     Mutates ``m`` in place and returns the per-step loss curve.
     """
     rng = _rng(cfg.seed, 0xA1)
-    opt = cfg.sgd(m.backbone_params())
+    opt = cfg.sgd(m.params("feat", "proj"))
     losses = []
     for _ in range(cfg.pretrain_steps):
         idx = _draw(rng, np.arange(dataset.n), cfg.batch_size)
@@ -242,9 +248,8 @@ class CodimTrainer:
         if cfg.label_correction:
             self.dataset = label_correction(self.dataset, self.base, cfg)
         # bare mode has no contrastive term, so its projector is not trained
-        self.opts = [cfg.sgd(net.params() if cfg.mode != "bare" else
-                             {**net.feat.params("feat"), **net.cls.params("cls")})
-                     for net in self.duo.nets]
+        heads = ("feat", "cls") if cfg.mode == "bare" else ()
+        self.opts = [cfg.sgd(net.params(*heads)) for net in self.duo.nets]
         self.post_warmup_consistency = self.measure_consistency(0xFFFF)
 
     def _contrastive_terms(self, net, x_lab, labels_lab, x_unl, rng):
@@ -280,10 +285,7 @@ class CodimTrainer:
                 x_lab, x_unl = data.x[lab_idx], data.x[unl_idx]
                 noisy_lab = data.noisy_labels[lab_idx]
                 # weak views answer label queries, strong views carry gradients
-                own_pred = np.zeros((len(lab_idx), data.num_classes))
-                for _ in range(cfg.ssl.num_augs):
-                    own_pred += net.predict_proba(augment(x_lab, cfg.aug, "weak", rng))
-                own_pred /= cfg.ssl.num_augs
+                own_pred = mean_weak_proba((net,), x_lab, cfg.aug, cfg.ssl.num_augs, rng)
                 refined = co_refine(part.clean_prob[lab_idx],
                                     one_hot(noisy_lab, data.num_classes),
                                     own_pred, cfg.ssl.sharpen_t)

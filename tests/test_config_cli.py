@@ -1,6 +1,7 @@
 """Config parsing and the CLI subcommands, including exit codes and
 run-directory artifacts."""
 
+import hashlib
 import os
 from dataclasses import fields
 
@@ -297,3 +298,27 @@ def test_every_train_field_is_settable_from_config():
             for attr in path:
                 got = getattr(got, attr)
             assert getattr(got, f.name) == want != default, f.name
+
+
+def test_cli_cssl_snapshot_records_trusted_labels(tmp_path):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["cssl", cfg, "--labeled-ratio", "0.5"]) == 0
+    snapshot = open(os.path.join(out_dir, "config_resolved.txt")).read()
+    assert "noise_kind = none" in snapshot.splitlines()
+    manifest = open(os.path.join(out_dir, "manifest.txt")).read()
+    assert f"config_sha256 = {hashlib.sha256(snapshot.encode()).hexdigest()}" in manifest
+
+
+@pytest.mark.parametrize("threshold", ["2", "-1", "nan"])
+def test_cli_partition_threshold_out_of_range_exits_2(tmp_path, capsys, threshold):
+    path = tmp_path / "losses.csv"
+    path.write_text("\n".join(f"{i},{0.1 if i % 3 else 0.9}" for i in range(60)) + "\n")
+    assert main(["partition", str(path), "--threshold", threshold]) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not (tmp_path / "losses_partition.csv").exists()
+
+
+def test_cli_gmm_threshold_out_of_range_exits_2(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path, "gmm_threshold = 1.5\n")
+    assert main(["train", cfg]) == 2
+    assert "gmm_threshold" in capsys.readouterr().err

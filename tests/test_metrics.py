@@ -24,6 +24,23 @@ def brute_auc(scores, positives):
     return wins / (len(pos) * len(neg))
 
 
+def loop_rank_auc(scores, positives):
+    """Mean-rank AUC with ties ranked by a sequential scan of the sorted scores."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i, rank = 0, 1.0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (rank + rank + (j - i)) / 2.0
+        rank += j - i + 1
+        i = j + 1
+    n_pos, n_neg = positives.sum(), (~positives).sum()
+    return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 def test_accuracy_oracle():
     probs = np.array([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4]])
     acc = accuracy_of(lambda x: probs, np.zeros((3, 1)), np.array([0, 1, 1]))
@@ -41,6 +58,21 @@ def test_auc_matches_brute_force_including_ties():
             continue
         assert auc_score(scores, positives) == pytest.approx(
             brute_auc(scores, positives), abs=1e-12)
+
+
+def test_auc_equals_sequential_tie_ranking_exactly():
+    for case in range(300):
+        rng = rng_for(0xE1, case)
+        n = int(rng.integers(2, 300))
+        scores = rng.normal(size=n)
+        if case % 3 == 1:
+            scores = np.round(scores, 1)
+        elif case % 3 == 2:
+            scores = rng.choice([-0.0, 0.0, 0.5, -1.0], size=n)
+        positives = rng.random(n) < 0.5
+        if positives.all() or not positives.any():
+            continue
+        assert auc_score(scores, positives) == loop_rank_auc(scores, positives)
 
 
 def test_auc_extremes_and_degenerate():
@@ -139,3 +171,12 @@ def test_write_csv_round_trip(tmp_path):
     assert got[0] == ["i", "s", "v"]
     assert got[1] == ["0", "a,b", "1.5"]
     assert got[2] == ["1", 'quote"d', "-2.0"]
+
+
+def test_auc_ties_signed_zero_and_rejects_non_finite():
+    scores = np.array([-0.0, 0.0, 1.0, -1.0, 0.0])
+    positives = np.array([True, False, True, False, True])
+    assert auc_score(scores, positives) == brute_auc(scores, positives)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DegenerateInputError, match="finite"):
+            auc_score(np.array([0.1, bad, 0.3]), np.array([True, False, False]))

@@ -25,7 +25,8 @@ def test_shapes_and_param_names():
     assert params["proj.0.w"].data.shape == (6, 5)
     assert params["proj.1.w"].data.shape == (5, 4)
     assert params["cls.0.w"].data.shape == (6, 4)
-    assert set(m.backbone_params()) == {k for k in params if not k.startswith("cls")}
+    for heads, left_out in ((("feat", "proj"), "cls"), (("feat", "cls"), "proj")):
+        assert list(m.params(*heads)) == [k for k in params if not k.startswith(left_out)]
 
 
 def test_forward_np_matches_graph_forward():
@@ -76,8 +77,8 @@ def test_state_dict_round_trip():
 def test_reinit_classifier_keeps_trunk_bits():
     m = make_model(0)
     fresh = m.reinit_classifier(seed=99)
-    for name, p in m.backbone_params().items():
-        assert np.array_equal(p.data, fresh.backbone_params()[name].data)
+    for name, p in m.params("feat", "proj").items():
+        assert np.array_equal(p.data, fresh.params("feat", "proj")[name].data)
     assert not np.array_equal(m.cls.weights[0].data, fresh.cls.weights[0].data)
     # mutating the copy must not touch the original
     fresh.feat.weights[0].data[:] = 0.0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from codim.errors import DegenerateInputError, ParameterError
-from codim.noise import (GmmParams, NoiseSpec, adjacent_pair_map, fit_gmm_1d,
-                         inject_noise, make_partition, partition_by_losses,
-                         per_sample_losses)
+from codim.models import Arch, ModelTriple
+from codim.noise import (GmmParams, NoiseSpec, Partition, adjacent_pair_map,
+                         fit_gmm_1d, inject_noise, make_partition,
+                         partition_by_losses, per_sample_losses)
 
 from conftest import rng_for
 
@@ -166,3 +167,49 @@ def test_partition_constant_losses_falls_back_to_all_clean():
                                np.zeros((50, 1)), np.zeros(50, dtype=int), 0.5)
     assert len(part.clean_idx) == 50
     assert (part.clean_prob == 1.0).all()
+
+
+def test_gmm_rejects_non_finite_values():
+    values = rng_for(0xD6).uniform(size=100)
+    for bad in (np.nan, np.inf, -np.inf):
+        planted = values.copy()
+        planted[17] = bad
+        with pytest.raises(DegenerateInputError, match="finite"):
+            fit_gmm_1d(planted)
+
+
+def test_partition_by_losses_rejects_non_finite_predictions():
+    n = 20
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        partition_by_losses(_StubModel(np.full((n, 2), np.nan)), np.zeros((n, 1)),
+                            np.zeros(n, dtype=int), threshold=0.5)
+    m = ModelTriple(Arch(input_dim=2, num_classes=2, feat_hidden=(4, 4),
+                         proj_hidden=4, proj_dim=2), seed=0)
+    m.feat.weights[0].data[:] = np.nan
+    x = rng_for(0xD7).normal(size=(n, 2))
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        partition_by_losses(m, x, np.zeros(n, dtype=int), threshold=0.5)
+
+
+def test_partition_split_thresholds_inclusively():
+    part = Partition.split(np.array([0.2, 0.5, 0.9, 0.49]), 0.5)
+    assert part.clean_idx.tolist() == [1, 2]
+    assert part.noisy_idx.tolist() == [0, 3]
+    assert part.threshold == 0.5
+
+
+def test_partition_empty_clean_set_keeps_lowest_tenth():
+    # evenly spread losses: the low component's posterior stays below 1
+    # everywhere, so at threshold 1 the GMM split has no clean sample
+    n = 200
+    p_correct = rng_for(0xD8).permutation(np.linspace(0.05, 0.95, n))
+    probs = np.column_stack([p_correct, 1.0 - p_correct])
+    losses = per_sample_losses(_StubModel(probs), np.zeros((n, 1)), np.zeros(n, dtype=int))
+    g = fit_gmm_1d(losses)
+    assert len(make_partition(g, losses, 1.0).clean_idx) == 0
+    part = partition_by_losses(_StubModel(probs), np.zeros((n, 1)),
+                               np.zeros(n, dtype=int), threshold=1.0)
+    lowest = np.sort(np.argsort(losses)[: n // 10])
+    assert np.array_equal(part.clean_idx, lowest)
+    assert np.array_equal(part.noisy_idx, np.setdiff1d(np.arange(n), lowest))
+    assert (part.clean_prob[lowest] == 1.0).all()

@@ -119,12 +119,6 @@ def test_l2_normalize_unit_rows_and_degenerate():
         T.l2_normalize(Tensor(np.zeros((2, 3))))
 
 
-def test_l2_distance_value():
-    a = Tensor([[0.0, 0.0], [1.0, 1.0]])
-    b = Tensor([[3.0, 4.0], [1.0, 1.0]])
-    assert T.l2_distance(a, b).item() == pytest.approx(25.0 / 2.0)
-
-
 # ---------------------------------------------------------------- graph
 
 def test_backward_requires_scalar():
@@ -212,8 +206,6 @@ def _fd_cases():
         ("l2_normalize", lambda p: T.tsum(T.mul(T.l2_normalize(p[0]),
                                                 Tensor(np.arange(12.).reshape(3, 4)))),
          lambda r: [leaf(r, 3, 4)]),
-        ("l2_distance", lambda p: T.l2_distance(p[0], p[1]),
-         lambda r: [leaf(r, 4, 3), leaf(r, 4, 3)]),
     ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from codim.data import BlobSpec, gen_blobs
-from codim.errors import ParameterError
+from codim.errors import DegenerateInputError, ParameterError
 from codim.models import ModelTriple
 from codim.noise import NoiseSpec
 from codim.trainers import (RUN_RECORD_HEADER, CodimTrainer, TrainConfig,
@@ -39,6 +39,9 @@ def test_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ParameterError):
         TrainConfig(lr=0.0)
+    for threshold in (1.5, -0.1):
+        with pytest.raises(ParameterError, match="gmm_threshold"):
+            TrainConfig(gmm_threshold=threshold)
 
 
 def test_lr_schedule():
@@ -192,3 +195,10 @@ def test_label_correction_leaves_model_untouched():
         assert np.array_equal(v, before[k])
     assert fixed.n == ds.n
     assert np.array_equal(fixed.clean_labels, ds.clean_labels)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_training_loss_raises():
+    # lr = 1e200 blows the parameters up within a few steps
+    with pytest.raises(DegenerateInputError, match="training loss is"):
+        train_ce(small_dataset(), small_config(lr=1e200))
