@@ -1,10 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 usage/config error (also out-of-range config values,
-malformed partition inputs and a threshold outside [0, 1]), 3 runtime/numerical
-error (also a non-finite training loss or non-finite predictions).
-Every run directory gets a resolved-config snapshot, a manifest, the
-machine-readable CSVs and checkpoints; stdout carries a short summary.
+Exit codes follow the error type: 0 success; 2 a usage error, ``ConfigError``
+or ``ParameterError``; 3 any other ``CodimError`` or ``OSError``; any other
+exception is a bug and ends in a traceback. Each run directory gets a config
+snapshot, a manifest, CSVs and checkpoints; stdout carries a short summary.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (MODE_ALIASES, load_config, make_dataset, make_train_config,
                      resolved_config_text)
-from .errors import ConfigError
+from .errors import CodimError, ConfigError
 from .metrics import export_curves_svg, export_embeddings_2d, write_csv
 from .models import ModelTriple
-from .noise import fit_gmm_1d, make_partition
+from .noise import partition_losses
 from .trainers import (MODES, RUN_RECORD_HEADER, pretrain_selfcon, train_ce,
                        train_codim, train_cssl)
 
@@ -135,8 +134,6 @@ def cmd_cssl(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
     if not os.path.exists(args.losses_csv):
         raise ConfigError(f"losses file not found: {args.losses_csv}")
     with open(args.losses_csv, newline="") as fh:
@@ -151,16 +148,16 @@ def cmd_partition(args) -> int:
         raise ConfigError(f"bad loss value in {args.losses_csv}: {exc}") from exc
     if len(losses) == 0 or not np.isfinite(losses).all():
         raise ConfigError(f"{args.losses_csv} needs one or more losses, all finite")
-    gmm = fit_gmm_1d(losses)
-    part = make_partition(gmm, losses, args.threshold)
+    part = partition_losses(losses, args.threshold)
     out = args.out or (os.path.splitext(args.losses_csv)[0] + "_partition.csv")
     write_csv(out, ["index", "clean_prob", "is_clean"],
               [[i, p, int(p >= args.threshold)]
                for i, p in enumerate(part.clean_prob.tolist())])
-    print(f"components: means={gmm.means.round(4).tolist()} "
-          f"weights={gmm.weights.round(4).tolist()}; "
-          f"{len(part.clean_idx)}/{len(losses)} clean at threshold "
-          f"{args.threshold}; wrote {out}")
+    g = part.gmm
+    fit = ("" if g is None else f"components: means={g.means.round(4).tolist()} "
+           f"weights={g.weights.round(4).tolist()}; ")
+    print(f"{fit}{len(part.clean_idx)}/{len(losses)} clean at threshold {args.threshold}"
+          f"{f'; {part.fallback}' if part.fallback else ''}; wrote {out}")
     return 0
 
 
@@ -235,12 +232,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime / numerical failure
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    except (CodimError, OSError) as exc:  # anything else is a bug: a traceback
+        code = getattr(exc, "exit_code", 3)
+        print(f"config error: {exc}" if code == 2 else
+              f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,13 +6,12 @@ keys are a hard error so typos never pass silently.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import fields
 
 from .contrastive import AugmentSpec
 from .data import BlobSpec, Dataset, RingSpec, gen_blobs, gen_rings
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .mixmatch import SslHyper
 from .noise import NoiseSpec, adjacent_pair_map
 from .trainers import MODES, TrainConfig
@@ -110,25 +109,12 @@ def resolved_config_text(values: dict) -> str:
     return "\n".join(f"{key} = {values[key]}" for key in SCHEMA) + "\n"
 
 
-def _rejected_as_config_error(make):
-    """A value the dataclasses reject is a config error (exit 2), not a
-    runtime failure."""
-    @functools.wraps(make)
-    def checked(values: dict, *args, **kwargs):
-        try:
-            return make(values, *args, **kwargs)
-        except ParameterError as exc:
-            raise ConfigError(f"rejected config value: {exc}") from exc
-    return checked
-
-
 def _build(cls, values: dict, **given):
     """``cls`` with every field that is not ``given`` read from its key."""
     return cls(**{f.name: values[f.name] for f in fields(cls)
                   if f.name in values and f.name not in given}, **given)
 
 
-@_rejected_as_config_error
 def make_dataset(values: dict) -> Dataset:
     if values["dataset"] == "blobs":
         ds = gen_blobs(_build(BlobSpec, values, seed=values["data_seed"]))
@@ -145,7 +131,6 @@ def make_dataset(values: dict) -> Dataset:
     return ds
 
 
-@_rejected_as_config_error
 def make_train_config(values: dict, mode: str | None = None) -> TrainConfig:
     mode = mode if mode is not None else values["mode"]
     try:

@@ -169,39 +169,50 @@ class Partition:
     clean_idx: np.ndarray
     noisy_idx: np.ndarray
     threshold: float
+    gmm: GmmParams | None = None  # None: a fallback skipped the fit
+    fallback: str | None = None  # the fallback that set clean_prob, if any
 
     @classmethod
-    def split(cls, clean_prob: np.ndarray, threshold: float) -> "Partition":
+    def split(cls, clean_prob: np.ndarray, threshold: float, gmm: GmmParams | None = None,
+              fallback: str | None = None) -> "Partition":
         """Clean = ``clean_prob >= threshold``, for a threshold in [0, 1]."""
+        if not 0.0 <= threshold <= 1.0:
+            raise ParameterError(f"threshold = {threshold} is outside [0, 1]")
         is_clean = clean_prob >= threshold
-        return cls(clean_prob=clean_prob, clean_idx=np.flatnonzero(is_clean),
-                   noisy_idx=np.flatnonzero(~is_clean), threshold=threshold)
+        return cls(clean_prob, np.flatnonzero(is_clean), np.flatnonzero(~is_clean),
+                   threshold, gmm, fallback)
 
 
 def make_partition(g: GmmParams, values: np.ndarray, threshold: float) -> Partition:
     """Clean probability = posterior of the low-mean component at each value."""
     dens, totals = _densities(np.asarray(values, dtype=np.float64),
                               g.weights, g.means, g.variances)
-    return Partition.split(dens[0] / totals, threshold)
+    return Partition.split(dens[0] / totals, threshold, gmm=g)
+
+
+def partition_losses(losses: np.ndarray, threshold: float) -> Partition:
+    """GMM fit to per-sample losses and the posterior split at ``threshold``;
+    non-finite losses raise. Fallbacks: all clean without a fit on constant
+    or fewer than 10 losses, the lowest-loss 10% when no sample is clean."""
+    losses = np.asarray(losses, dtype=np.float64)
+    if not np.isfinite(losses).all():
+        raise DegenerateInputError("partition_losses: losses must be finite")
+    try:
+        g = fit_gmm_1d(losses)
+    except DegenerateInputError:
+        return Partition.split(np.ones_like(losses), threshold,
+                               fallback="all clean: constant or fewer than 10 losses")
+    part = make_partition(g, losses, threshold)
+    if len(part.clean_idx) == 0:
+        keep = np.argsort(losses)[: max(1, len(losses) // 10)]
+        clean_prob = part.clean_prob.copy()
+        clean_prob[keep] = np.maximum(clean_prob[keep], threshold)
+        part = Partition.split(clean_prob, threshold, gmm=g,
+                               fallback="lowest-loss 10% clean: the fit found none")
+    return part
 
 
 def partition_by_losses(m: ModelTriple, x: np.ndarray, noisy_labels: np.ndarray,
                         threshold: float) -> Partition:
-    """Co-divide building block: losses under ``m``, GMM fit, posterior split.
-
-    Degenerate cases fall back to all-clean (constant losses) or to keeping
-    the lowest-loss 10% as clean (empty clean set).
-    """
-    losses = per_sample_losses(m, x, noisy_labels)
-    n = len(losses)
-    try:
-        g = fit_gmm_1d(losses)
-    except DegenerateInputError:
-        return Partition.split(np.ones(n), threshold)
-    part = make_partition(g, losses, threshold)
-    if len(part.clean_idx) == 0:
-        keep = np.argsort(losses)[: max(1, n // 10)]
-        clean_prob = part.clean_prob.copy()
-        clean_prob[keep] = np.maximum(clean_prob[keep], threshold)
-        part = Partition.split(clean_prob, threshold)
-    return part
+    """Co-divide building block: ``partition_losses`` of the losses under ``m``."""
+    return partition_losses(per_sample_losses(m, x, noisy_labels), threshold)

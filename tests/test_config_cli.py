@@ -183,11 +183,19 @@ def test_cli_partition(tmp_path, capsys):
     assert len(rows) == 421
 
 
-def test_cli_partition_constant_losses_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("losses", [[0.5] * 50, [0.1, 0.9, 0.2, 0.8, 0.5]],
+                         ids=["constant", "five"])
+def test_cli_partition_constant_or_few_losses_falls_back_to_all_clean(tmp_path, capsys,
+                                                                       losses):
     path = tmp_path / "flat.csv"
-    path.write_text("index,loss\n" + "\n".join(f"{i},0.5" for i in range(50)) + "\n")
-    assert main(["partition", str(path)]) == 3
-    assert "error" in capsys.readouterr().err
+    path.write_text("index,loss\n" + "\n".join(
+        f"{i},{v}" for i, v in enumerate(losses)) + "\n")
+    assert main(["partition", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"{len(losses)}/{len(losses)} clean" in out and "all clean" in out
+    assert "components" not in out
+    rows = (tmp_path / "flat_partition.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1:] for r in rows] == [["1.0", "1"]] * len(losses)
 
 
 def test_cli_report(tmp_path, capsys):

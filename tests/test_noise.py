@@ -7,7 +7,7 @@ from codim.errors import DegenerateInputError, ParameterError
 from codim.models import Arch, ModelTriple
 from codim.noise import (GmmParams, NoiseSpec, Partition, adjacent_pair_map,
                          fit_gmm_1d, inject_noise, make_partition,
-                         partition_by_losses, per_sample_losses)
+                         partition_by_losses, partition_losses, per_sample_losses)
 
 from conftest import rng_for
 
@@ -167,6 +167,47 @@ def test_partition_constant_losses_falls_back_to_all_clean():
                                np.zeros((50, 1)), np.zeros(50, dtype=int), 0.5)
     assert len(part.clean_idx) == 50
     assert (part.clean_prob == 1.0).all()
+    assert part.gmm is None and "constant" in part.fallback
+
+
+def test_partition_losses_too_few_values_falls_back_to_all_clean():
+    part = partition_losses(np.array([0.1, 0.9, 0.2, 0.8, 0.5]), 0.5)
+    assert part.clean_idx.tolist() == [0, 1, 2, 3, 4]
+    assert part.noisy_idx.size == 0
+    assert part.gmm is None and part.fallback is not None
+
+
+def test_partition_losses_records_the_fit():
+    losses = np.concatenate([np.linspace(0.0, 0.2, 60), np.linspace(0.8, 1.0, 40)])
+    part = partition_losses(losses, 0.5)
+    assert part.fallback is None
+    assert part.gmm.means[0] < 0.5 < part.gmm.means[1]
+    assert np.array_equal(part.clean_prob, make_partition(part.gmm, losses, 0.5).clean_prob)
+    assert part.clean_idx.tolist() == list(range(60))
+
+
+def test_partition_losses_rejects_non_finite_losses():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DegenerateInputError, match="finite"):
+            partition_losses(np.array([0.1] * 20 + [bad]), 0.5)
+
+
+def test_every_partition_rejects_threshold_outside_unit_interval():
+    # evenly spread losses reach the lowest-10% fallback at threshold > 1,
+    # which used to mark 20 samples "clean" with clean_prob = 2.0
+    n = 200
+    probs = np.column_stack([np.linspace(0.05, 0.95, n), np.linspace(0.95, 0.05, n)])
+    for threshold in (2.0, -0.5, np.nan):
+        with pytest.raises(ParameterError, match="threshold"):
+            partition_by_losses(_StubModel(probs), np.zeros((n, 1)),
+                                np.zeros(n, dtype=int), threshold=threshold)
+    with pytest.raises(ParameterError, match="threshold"):  # the all-clean fallback
+        partition_losses(np.full(50, 0.3), 1.5)
+    g = fit_gmm_1d(np.linspace(0.0, 1.0, 50))
+    with pytest.raises(ParameterError, match="threshold"):
+        make_partition(g, np.linspace(0.0, 1.0, 50), -1.0)
+    with pytest.raises(ParameterError, match="threshold"):
+        Partition.split(np.ones(3), 1.0 + 1e-12)
 
 
 def test_gmm_rejects_non_finite_values():
