@@ -7,6 +7,7 @@ Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -36,6 +37,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    if len(blob) < 8:
+        raise CheckpointError("truncated version at offset 4")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -49,7 +52,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         offset += 4
         if offset + name_len > total:
             raise CheckpointError(f"truncated name at offset {offset}")
-        name = blob[offset:offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"name at offset {offset} is not UTF-8") from exc
         offset += name_len
         if offset + 4 > total:
             raise CheckpointError(f"truncated rank at offset {offset}")
@@ -59,7 +65,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"truncated dims at offset {offset}")
         dims = struct.unpack_from(f"<{rank}I", blob, offset)
         offset += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
+        count = math.prod(dims)
         nbytes = 8 * count
         if offset + nbytes > total:
             raise CheckpointError(f"truncated payload at offset {offset}")

@@ -133,11 +133,20 @@ def cmd_cssl(args) -> int:
     return 0
 
 
+def _read_csv(path, what: str) -> list[list[str]]:
+    """The non-blank rows of a CSV input; a missing or non-text file is a
+    ConfigError (exit 2)."""
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path} is not a CSV text file: {exc}") from exc
+
+
 def cmd_partition(args) -> int:
-    if not os.path.exists(args.losses_csv):
-        raise ConfigError(f"losses file not found: {args.losses_csv}")
-    with open(args.losses_csv, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows = _read_csv(args.losses_csv, "losses file")
     try:
         float(rows[0][-1])
     except (IndexError, ValueError):
@@ -163,15 +172,17 @@ def cmd_partition(args) -> int:
 
 def cmd_report(args) -> int:
     metrics_path = os.path.join(args.run_dir, "metrics.csv")
-    if not os.path.exists(metrics_path):
-        raise ConfigError(f"no metrics.csv in {args.run_dir}")
-    with open(metrics_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    if header != RUN_RECORD_HEADER:
+    rows = _read_csv(metrics_path, "metrics.csv")
+    if not rows or rows[0] != RUN_RECORD_HEADER:
         raise ConfigError(f"unexpected metrics header in {metrics_path}")
-    cols = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    try:
+        rows = [[float(v) for v in row] for row in rows[1:]]
+    except ValueError as exc:
+        raise ConfigError(f"bad value in {metrics_path}: {exc}") from exc
+    if not rows or any(len(row) != len(RUN_RECORD_HEADER) for row in rows):
+        raise ConfigError(f"{metrics_path} needs one or more rows of "
+                          f"{len(RUN_RECORD_HEADER)} values")
+    cols = {name: [row[i] for row in rows] for i, name in enumerate(RUN_RECORD_HEADER)}
     export_curves_svg({k: cols[k] for k in ("loss_x", "loss_u", "loss_reg", "loss_cl")},
                       os.path.join(args.run_dir, "losses.svg"))
     export_curves_svg({k: cols[k] for k in ("test_acc_a", "test_acc_b", "test_acc_ens")},

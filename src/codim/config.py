@@ -101,8 +101,14 @@ def parse_config_text(text: str) -> dict:
 def load_config(path) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    if "\0" in text:
+        raise ConfigError(f"config file {path} is not text: it holds a NUL byte")
+    return parse_config_text(text)
 
 
 def resolved_config_text(values: dict) -> str:

@@ -38,8 +38,8 @@ class AugmentSpec:
             raise ParameterError("need strong_jitter_sigma >= weak_jitter_sigma >= 0")
         if not 0.0 <= self.mask_prob <= 1.0:
             raise ParameterError("mask_prob must be in [0, 1]")
-        if not 0.0 < lo <= 1.0 <= hi:
-            raise ParameterError("scale_range must satisfy 0 < lo <= 1 <= hi")
+        if not 0.0 < lo <= 1.0 <= hi < np.inf:
+            raise ParameterError("scale_range must satisfy 0 < lo <= 1 <= hi < inf")
 
 
 def augment(x: np.ndarray, spec: AugmentSpec, strength: str,

@@ -47,6 +47,15 @@ class Dataset:
                        flip_mask=new_labels != self.clean_labels)
 
 
+def _check_counts(spec, *names):
+    """Each named field of ``spec`` is >= 1 and its seed >= 0."""
+    for name in names:
+        if getattr(spec, name) < 1:
+            raise ParameterError(f"{name} = {getattr(spec, name)} must be >= 1")
+    if spec.seed < 0:
+        raise ParameterError(f"seed = {spec.seed} must be >= 0")
+
+
 @dataclass
 class BlobSpec:
     num_classes: int = 4
@@ -57,7 +66,8 @@ class BlobSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.class_separation <= 0 or self.intra_std <= 0:
+        _check_counts(self, "num_classes", "dim", "samples_per_class")
+        if not (self.class_separation > 0 and self.intra_std > 0):
             raise ParameterError("class_separation and intra_std must be positive")
 
 
@@ -119,6 +129,9 @@ class RingSpec:
     radius_step: float = 1.0
     radial_std: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        _check_counts(self, "num_classes", "samples_per_class")
 
 
 def gen_rings(spec: RingSpec) -> Dataset:

@@ -27,11 +27,11 @@ class SslHyper:
     unlabeled_loss: str = "l2"  # "l2" or "ce"
 
     def __post_init__(self):
-        if self.lambda_u < 0 or self.lambda_r < 0:
+        if not (self.lambda_u >= 0 and self.lambda_r >= 0):
             raise ParameterError("loss weights must be non-negative")
         if not 0.0 < self.sharpen_t <= 1.0:
             raise ParameterError("sharpen_t must be in (0, 1]")
-        if self.mixup_alpha <= 0:
+        if not self.mixup_alpha > 0:
             raise ParameterError("mixup_alpha must be positive")
         if self.num_augs < 1:
             raise ParameterError("num_augs must be >= 1")

@@ -24,6 +24,8 @@ class NoiseSpec:
             raise ParameterError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.ratio <= 1.0:
             raise ParameterError("noise ratio must be in [0, 1]")
+        if self.seed < 0:
+            raise ParameterError(f"noise seed = {self.seed} must be >= 0")
         if self.kind == "asymmetric":
             if self.class_map is None:
                 raise ParameterError("asymmetric noise requires a class_map")
@@ -64,6 +66,8 @@ def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec):
         if spec.redraw_over_all:
             noisy[selected] = rng.integers(0, num_classes, size=n_flip)
         else:
+            if num_classes < 2:
+                raise ParameterError("strict symmetric noise needs num_classes >= 2")
             draws = rng.integers(0, num_classes - 1, size=n_flip)
             draws += draws >= labels[selected]
             noisy[selected] = draws
@@ -203,6 +207,8 @@ def partition_losses(losses: np.ndarray, threshold: float) -> Partition:
         return Partition.split(np.ones_like(losses), threshold,
                                fallback="all clean: constant or fewer than 10 losses")
     part = make_partition(g, losses, threshold)
+    if not np.isfinite(part.clean_prob).all():
+        raise DegenerateInputError("partition_losses: the GMM fit overflowed")
     if len(part.clean_idx) == 0:
         keep = np.argsort(losses)[: max(1, len(losses) // 10)]
         clean_prob = part.clean_prob.copy()

@@ -57,14 +57,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("pretrain_steps", "warmup_epochs", "epochs", "iters_per_epoch"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        least = {"pretrain_steps": 0, "warmup_epochs": 0, "epochs": 1, "iters_per_epoch": 0,
+                 "batch_size": 2, "proj_hidden": 1, "proj_dim": 1, "seed": 0}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ParameterError(f"{name} = {getattr(self, name)} must be >= {low}")
+        if min(self.feat_hidden, default=0) < 1:
+            raise ParameterError(f"feat_hidden = {self.feat_hidden} needs widths >= 1")
+        for name in ("lr", "lr_drop_factor", "tau1", "tau2", "tau3"):
+            if not getattr(self, name) > 0:
+                raise ParameterError(f"{name} = {getattr(self, name)} must be positive")
         if not 0.0 <= self.gmm_threshold <= 1.0:
             raise ParameterError(f"gmm_threshold = {self.gmm_threshold} is outside [0, 1]")
-        if self.lr <= 0 or self.batch_size < 2:
-            raise ParameterError("lr must be positive and batch_size >= 2, got "
-                                 f"lr = {self.lr}, batch_size = {self.batch_size}")
 
     def arch(self, input_dim: int, num_classes: int) -> Arch:
         return Arch(input_dim=input_dim, num_classes=num_classes,

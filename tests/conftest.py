@@ -1,6 +1,13 @@
 """Shared test helpers: finite-difference gradient checking and seeded RNGs."""
 
-import numpy as np
+import os
+
+# One BLAS thread unless the caller set one: the suite's matrices are small,
+# so more threads mostly spin. Set before NumPy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from codim.tensor import Tensor

@@ -3,11 +3,13 @@ run-directory artifacts."""
 
 import hashlib
 import os
+import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from codim.checkpoint import MAGIC
 from codim.cli import main
 from codim.config import (SCHEMA, load_config, make_dataset, make_train_config,
                           parse_config_text, resolved_config_text)
@@ -16,7 +18,7 @@ from codim.data import BlobSpec, gen_blobs
 from codim.errors import ConfigError
 from codim.mixmatch import SslHyper
 from codim.noise import NoiseSpec
-from codim.trainers import TrainConfig
+from codim.trainers import RUN_RECORD_HEADER, TrainConfig
 
 
 SMALL_CONFIG = """
@@ -111,6 +113,15 @@ def test_cli_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("bogus = 1\n")
     assert main(["gen", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blob", [b"epochs = 2\n\xff\xfe\n", b"out_dir = a\x00b\n"],
+                         ids=["not-utf8", "nul-byte"])
+def test_cli_config_that_is_not_text_exits_2(tmp_path, capsys, blob):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(blob)
+    assert main(["gen", str(path)]) == 2
+    assert "is not" in capsys.readouterr().err
 
 
 def test_cli_missing_config_exits_2(tmp_path):
@@ -252,6 +263,54 @@ def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys):
     assert main(["train", cfg]) == 2
     cfg, _ = write_config(tmp_path, "intra_std = -1\n")
     assert main(["gen", cfg]) == 2
+
+
+@pytest.mark.parametrize("command, line, key", [
+    ("train", "feat_hidden = 0", "feat_hidden"),
+    ("train", "feat_hidden = 8,0", "feat_hidden"),
+    ("train", "proj_hidden = 0", "proj_hidden"),
+    ("train", "proj_dim = 0", "proj_dim"),
+    ("train", "lr_drop_factor = 0", "lr_drop_factor"),
+    ("train", "num_classes = 0", "num_classes"),
+    ("train", "dim = 0", "dim"),
+    ("cssl", "samples_per_class = 0", "samples_per_class"),
+    ("train", "tau1 = 0", "tau1"),
+    ("cssl", "tau2 = 0", "tau2"),
+    ("train", "tau3 = 0", "tau3"),
+    ("train", "epochs = 0", "epochs"),
+    ("train", "seed = -1", "seed"),
+    ("gen", "noise_seed = -1", "noise seed"),
+    ("train", "scale_hi = inf", "scale_range"),
+])
+def test_cli_config_value_that_used_to_crash_exits_2(tmp_path, capsys, command, line, key):
+    cfg, _ = write_config(tmp_path, line + "\n")
+    argv = [command, cfg] + (["--mode", "sup"] if command == "train" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    ",".join(RUN_RECORD_HEADER) + "\n",
+    ",".join(RUN_RECORD_HEADER) + "\n" + ",".join(["1"] * 9 + ["high"]) + "\n",
+    ",".join(RUN_RECORD_HEADER) + "\n" + ",".join(["1"] * 9) + "\n",
+], ids=["empty", "header-only", "non-numeric", "short-row"])
+def test_cli_report_malformed_metrics_exits_2(tmp_path, capsys, text):
+    (tmp_path / "metrics.csv").write_text(text)
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "metrics.csv" in err
+    assert not (tmp_path / "losses.svg").exists()
+
+
+def test_cli_pretrained_checkpoint_with_non_utf8_name_exits_3(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path)
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(MAGIC + struct.pack("<II", 1, 2) + b"\xff\xfe"
+                     + struct.pack("<I", 0) + struct.pack("<d", 1.0))
+    assert main(["train", cfg, "--pretrained", str(ckpt)]) == 3
+    assert "CheckpointError: name at offset 12" in capsys.readouterr().err
 
 
 def test_cli_pretrained_checkpoint_of_other_width_exits_3(tmp_path, capsys):

@@ -176,6 +176,8 @@ def test_augment_spec_validation():
         AugmentSpec(mask_prob=1.5)
     with pytest.raises(ParameterError):
         AugmentSpec(scale_range=(1.2, 1.4))
+    with pytest.raises(ParameterError):
+        AugmentSpec(scale_range=(0.9, np.inf))
 
 
 def test_augment_statistics():

@@ -50,6 +50,17 @@ def test_blob_spec_validation():
         BlobSpec(class_separation=0.0)
     with pytest.raises(ParameterError):
         BlobSpec(intra_std=-1.0)
+    with pytest.raises(ParameterError):
+        BlobSpec(intra_std=float("nan"))
+    for name in ("num_classes", "dim", "samples_per_class"):
+        with pytest.raises(ParameterError, match=f"{name} = 0 must be >= 1"):
+            BlobSpec(**{name: 0})
+    for name in ("num_classes", "samples_per_class"):
+        with pytest.raises(ParameterError, match=f"{name} = 0 must be >= 1"):
+            RingSpec(**{name: 0})
+    for spec in (BlobSpec, RingSpec):
+        with pytest.raises(ParameterError, match="seed = -1"):
+            spec(seed=-1)
 
 
 def test_rings_not_linearly_separable_but_radially_separable():

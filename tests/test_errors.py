@@ -12,7 +12,7 @@ from codim.errors import CodimError, ConfigError, ParameterError
 def test_every_error_is_a_codim_error_with_its_exit_code():
     classes = [obj for _, obj in inspect.getmembers(errors, inspect.isclass)
                if obj.__module__ == errors.__name__]
-    assert len(classes) == 8
+    assert {ConfigError, ParameterError, errors.CheckpointError} < set(classes)
     for cls in classes:
         assert issubclass(cls, CodimError), cls.__name__
         assert issubclass(cls, ValueError), cls.__name__

@@ -215,3 +215,6 @@ def test_ssl_hyper_validation():
         SslHyper(mixup_alpha=0.0)
     with pytest.raises(ParameterError):
         SslHyper(unlabeled_loss="mse")
+    for bad in ({"lambda_u": np.nan}, {"lambda_r": np.nan}, {"mixup_alpha": np.nan}):
+        with pytest.raises(ParameterError):
+            SslHyper(**bad)

@@ -1,5 +1,7 @@
 """Model triple wiring, graph-free forward equivalence, checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,25 @@ def test_checkpoint_corruption_errors(tmp_path):
     cut.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError, match="truncated payload"):
         load_checkpoint(cut)
+
+
+def test_checkpoint_malformed_headers_raise_checkpoint_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    version = struct.pack("<I", 1)
+    cases = {
+        # a parameter whose name is not UTF-8
+        "name at offset 12 is not UTF-8": (version + struct.pack("<I", 2) + b"\xff\xfe"
+                                           + struct.pack("<I", 0) + struct.pack("<d", 1.0)),
+        "truncated version at offset 4": b"",
+        # dims whose product overflows 64 bits
+        "truncated payload at offset 29": (version + struct.pack("<I", 1) + b"w"
+                                           + struct.pack("<4I", 3, *[2 ** 32 - 1] * 3)
+                                           + struct.pack("<d", 1.0)),
+    }
+    for message, body in cases.items():
+        path.write_bytes(MAGIC + body)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
 
 def test_load_state_dict_names_mismatched_parameter():

@@ -23,6 +23,11 @@ def test_spec_validation():
         NoiseSpec("asymmetric", 0.4, class_map={0: 0})
     with pytest.raises(ParameterError):
         NoiseSpec("symmetric", 0.4, class_map={0: 1})
+    with pytest.raises(ParameterError, match="seed = -1"):
+        NoiseSpec("symmetric", 0.4, seed=-1)
+    with pytest.raises(ParameterError, match="num_classes >= 2"):
+        inject_noise(np.zeros(10, dtype=int), 1,
+                     NoiseSpec("symmetric", 0.4, redraw_over_all=False))
 
 
 def test_adjacent_pair_map():
@@ -190,6 +195,12 @@ def test_partition_losses_rejects_non_finite_losses():
     for bad in (np.nan, np.inf):
         with pytest.raises(DegenerateInputError, match="finite"):
             partition_losses(np.array([0.1] * 20 + [bad]), 0.5)
+
+
+def test_partition_losses_rejects_an_overflowed_fit():
+    losses = np.concatenate([np.full(20, 1e308), np.full(20, -1e308), np.linspace(0, 1, 20)])
+    with np.errstate(all="ignore"), pytest.raises(DegenerateInputError, match="overflow"):
+        partition_losses(losses, 0.5)
 
 
 def test_every_partition_rejects_threshold_outside_unit_interval():

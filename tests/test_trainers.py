@@ -39,6 +39,15 @@ def test_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ParameterError):
         TrainConfig(lr=0.0)
+    for name in ("lr", "lr_drop_factor", "tau1", "tau2", "tau3"):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ParameterError, match=f"{name} = "):
+                TrainConfig(**{name: bad})
+    for name, bad in (("epochs", 0), ("batch_size", 1), ("proj_hidden", 0),
+                      ("proj_dim", 0), ("seed", -1), ("feat_hidden", (8, 0)),
+                      ("feat_hidden", ())):
+        with pytest.raises(ParameterError, match=f"{name} = "):
+            TrainConfig(**{name: bad})
     for threshold in (1.5, -0.1):
         with pytest.raises(ParameterError, match="gmm_threshold"):
             TrainConfig(gmm_threshold=threshold)
