@@ -173,13 +173,9 @@ def test_partition_constant_losses_falls_back_to_all_clean():
     assert len(part.clean_idx) == 50
     assert (part.clean_prob == 1.0).all()
     assert part.gmm is None and "constant" in part.fallback
-
-
-def test_partition_losses_too_few_values_falls_back_to_all_clean():
-    part = partition_losses(np.array([0.1, 0.9, 0.2, 0.8, 0.5]), 0.5)
-    assert part.clean_idx.tolist() == [0, 1, 2, 3, 4]
-    assert part.noisy_idx.size == 0
-    assert part.gmm is None and part.fallback is not None
+    few = partition_losses(np.array([0.1, 0.9, 0.2, 0.8, 0.5]), 0.5)
+    assert few.clean_idx.tolist() == [0, 1, 2, 3, 4] and few.noisy_idx.size == 0
+    assert few.gmm is None and "fewer than 10" in few.fallback
 
 
 def test_partition_losses_records_the_fit():
