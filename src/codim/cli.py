@@ -90,12 +90,15 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     values = load_config(args.config)
+    if args.mode is not None:
+        values["mode"] = args.mode  # the snapshot records the mode that runs
     out_dir = _prepare_run_dir(values)
     ds = make_dataset(values)
-    mode = args.mode if args.mode is not None else values["mode"]
-    cfg = make_train_config(values, mode=mode)
+    if len(ds.test_labels) < 3:  # the embedding export needs 3 rows
+        raise ConfigError("samples_per_class and num_classes leave < 3 test rows")
+    cfg = make_train_config(values)
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
-    if mode == "ce":
+    if values["mode"] == "ce":
         net, record = train_ce(ds, cfg)
         nets = {"net_a": net}
     else:
@@ -106,7 +109,7 @@ def cmd_train(args) -> int:
     export_embeddings_2d(nets["net_a"], ds.test_x, ds.test_labels,
                          os.path.join(out_dir, "embeddings.svg"))
     record.to_csv(os.path.join(out_dir, "metrics.csv"))
-    print(f"mode={mode}  Best: {100 * record.best_acc:.2f}  "
+    print(f"mode={values['mode']}  Best: {100 * record.best_acc:.2f}  "
           f"Last: {100 * record.last_acc:.2f}")
     return 0
 
@@ -118,6 +121,7 @@ def cmd_cssl(args) -> int:
     if not 0.0 < values["labeled_ratio"] <= 1.0:
         raise ConfigError("labeled_ratio must be in (0, 1]")
     values["noise_kind"] = "none"  # trusted-label setting
+    values["mode"] = "cssl"  # what train_cssl runs
     out_dir = _prepare_run_dir(values)
     ds = make_dataset(values)
     cfg = make_train_config(values)

@@ -67,8 +67,7 @@ SCHEMA: dict[str, tuple] = {
     "redraw_over_all": (_bool, True),
     **_keys(AugmentSpec, scale_range={"scale_lo": (float, AugmentSpec.scale_range[0]),
                                       "scale_hi": (float, AugmentSpec.scale_range[1])}),
-    **_keys(SslHyper, unlabeled_loss={
-        "unlabeled_loss": (_choice("l2", "ce"), SslHyper.unlabeled_loss)}),
+    **_keys(SslHyper),
     **_keys(TrainConfig,
             mode={"mode": (_choice(*MODES, *MODE_ALIASES), TrainConfig.mode)},
             feat_hidden={"feat_hidden": (str, ",".join(map(str, TrainConfig.feat_hidden)))}),
@@ -137,12 +136,11 @@ def make_dataset(values: dict) -> Dataset:
     return ds
 
 
-def make_train_config(values: dict, mode: str | None = None) -> TrainConfig:
-    mode = mode if mode is not None else values["mode"]
+def make_train_config(values: dict) -> TrainConfig:
     try:
         feat_hidden = tuple(int(s) for s in values["feat_hidden"].split(","))
     except ValueError as exc:
         raise ConfigError(f"bad feat_hidden {values['feat_hidden']!r}") from exc
     aug = _build(AugmentSpec, values, scale_range=(values["scale_lo"], values["scale_hi"]))
-    return _build(TrainConfig, values, **{"mode": mode, **MODE_ALIASES.get(mode, {})},
+    return _build(TrainConfig, values, **MODE_ALIASES.get(values["mode"], {}),
                   feat_hidden=feat_hidden, ssl=_build(SslHyper, values), aug=aug)

@@ -48,10 +48,13 @@ class Dataset:
 
 
 def _check_counts(spec, *names):
-    """Each named field of ``spec`` is >= 1 and its seed >= 0."""
+    """Each named field of ``spec`` is >= 1, its seed >= 0, and its
+    samples_per_class >= 3, the least that gives each class a test row."""
     for name in names:
         if getattr(spec, name) < 1:
             raise ParameterError(f"{name} = {getattr(spec, name)} must be >= 1")
+    if spec.samples_per_class < 3:
+        raise ParameterError(f"samples_per_class = {spec.samples_per_class} must be >= 3")
     if spec.seed < 0:
         raise ParameterError(f"seed = {spec.seed} must be >= 0")
 

@@ -1,6 +1,8 @@
 """Error types shared across the package. ``exit_code`` is the command line's
 exit status for each: 2 for a bad config or parameter value, 3 otherwise."""
 
+import math
+
 
 class CodimError(ValueError):
     """Base of every codim error."""
@@ -22,6 +24,17 @@ class DegenerateInputError(CodimError):
 class ParameterError(CodimError):
     """A hyperparameter is outside its valid range."""
     exit_code = 2
+
+    @classmethod
+    def check(cls, obj, rule: str, *names):
+        """Raise one naming the first of ``obj``'s fields ``names`` whose value
+        is not finite and ``rule``: ">= 0", "> 0" or "invertible" (> 0 with a
+        finite reciprocal, so not a subnormal such as 1e-320)."""
+        for name in names:
+            v = getattr(obj, name)
+            ok = {">= 0": 0 <= v, "> 0": 0 < v, "invertible": 0 < v and 1 / v < math.inf}
+            if not (math.isfinite(v) and ok[rule]):
+                raise cls(f"{name} = {v} must be finite and {rule}")
 
 
 class ConfigError(CodimError):

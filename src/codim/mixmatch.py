@@ -1,5 +1,5 @@
 """Semi-supervised objective: label guessing, sharpening, MixUp and the
-three-term loss (labeled cross-entropy, unlabeled L2/CE, uniform-prior
+three-term loss (labeled cross-entropy, unlabeled L2, uniform-prior
 regularizer with linearly ramped unlabeled weight).
 """
 
@@ -24,19 +24,15 @@ class SslHyper:
     mixup_alpha: float = 4.0
     num_augs: int = 2
     warmup_ramp_epochs: int = 16
-    unlabeled_loss: str = "l2"  # "l2" or "ce"
 
     def __post_init__(self):
-        if not (self.lambda_u >= 0 and self.lambda_r >= 0):
-            raise ParameterError("loss weights must be non-negative")
-        if not 0.0 < self.sharpen_t <= 1.0:
-            raise ParameterError("sharpen_t must be in (0, 1]")
-        if not self.mixup_alpha > 0:
-            raise ParameterError("mixup_alpha must be positive")
+        ParameterError.check(self, ">= 0", "lambda_u", "lambda_r")
+        ParameterError.check(self, "invertible", "sharpen_t")
+        if self.sharpen_t > 1.0:
+            raise ParameterError(f"sharpen_t = {self.sharpen_t} must be <= 1")
+        ParameterError.check(self, "> 0", "mixup_alpha")
         if self.num_augs < 1:
-            raise ParameterError("num_augs must be >= 1")
-        if self.unlabeled_loss not in ("l2", "ce"):
-            raise ParameterError("unlabeled_loss must be 'l2' or 'ce'")
+            raise ParameterError(f"num_augs = {self.num_augs} must be >= 1")
 
     def ramped_lambda_u(self, epoch: float) -> float:
         """Linear 0 -> lambda_u over warmup_ramp_epochs; full weight if no ramp."""
@@ -139,15 +135,10 @@ def semi_loss(m: ModelTriple, batch: SemiBatch, hyper: SslHyper, epoch: float):
     lx = T.softmax_cross_entropy(T.gather_rows(logits, lab_idx),
                                  batch.mixed_targets[lab_idx])
     if len(unl_idx) > 0:
-        unl_logits = T.gather_rows(logits, unl_idx)
-        unl_targets = batch.mixed_targets[unl_idx]
-        if hyper.unlabeled_loss == "l2":
-            # mean squared error over all prediction entries
-            probs = T.softmax_rows(unl_logits)
-            diff = probs - Tensor(unl_targets)
-            lu = T.tmean(T.mul(diff, diff))
-        else:
-            lu = T.softmax_cross_entropy(unl_logits, unl_targets)
+        # mean squared error over all prediction entries
+        probs = T.softmax_rows(T.gather_rows(logits, unl_idx))
+        diff = probs - Tensor(batch.mixed_targets[unl_idx])
+        lu = T.tmean(T.mul(diff, diff))
     else:
         lu = Tensor(0.0)
     num_classes = batch.mixed_targets.shape[1]

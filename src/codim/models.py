@@ -68,13 +68,13 @@ class Mlp:
 
 @dataclass
 class Arch:
-    """Layer widths for the three heads."""
+    """Layer widths for the three heads; ``TrainConfig.arch`` fills them in."""
 
     input_dim: int
     num_classes: int
-    feat_hidden: tuple[int, ...] = (64, 64)
-    proj_hidden: int = 64
-    proj_dim: int = 16
+    feat_hidden: tuple[int, ...]
+    proj_hidden: int
+    proj_dim: int
 
     @property
     def repr_dim(self) -> int:

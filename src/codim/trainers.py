@@ -5,7 +5,6 @@ the frozen-encoder label-correction step."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
@@ -32,11 +31,9 @@ class TrainConfig:
     iters_per_epoch: int = 30
     batch_size: int = 64
     lr: float = 0.05
-    lr_drop_epoch: int = -1  # -1: drop at epochs // 2
     lr_drop_factor: float = 10.0
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    lambda_cl: float = 1.0
     lambda_sup: float = 1.0
     lambda_self: float = 1.0
     tau1: float = 0.5
@@ -64,9 +61,10 @@ class TrainConfig:
                 raise ParameterError(f"{name} = {getattr(self, name)} must be >= {low}")
         if min(self.feat_hidden, default=0) < 1:
             raise ParameterError(f"feat_hidden = {self.feat_hidden} needs widths >= 1")
-        for name in ("lr", "lr_drop_factor", "tau1", "tau2", "tau3"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} = {getattr(self, name)} must be positive")
+        ParameterError.check(self, "> 0", "lr", "label_correction_lr")
+        ParameterError.check(self, "invertible", "lr_drop_factor", "tau1", "tau2", "tau3")
+        ParameterError.check(self, ">= 0", "momentum", "weight_decay", "lambda_sup",
+                             "lambda_self")
         if not 0.0 <= self.gmm_threshold <= 1.0:
             raise ParameterError(f"gmm_threshold = {self.gmm_threshold} is outside [0, 1]")
 
@@ -76,8 +74,8 @@ class TrainConfig:
                     proj_dim=self.proj_dim)
 
     def lr_at(self, epoch: int) -> float:
-        drop = self.lr_drop_epoch if self.lr_drop_epoch >= 0 else self.epochs // 2
-        return self.lr / self.lr_drop_factor if epoch >= drop else self.lr
+        """``lr``, divided by ``lr_drop_factor`` from epoch ``epochs // 2`` on."""
+        return self.lr / self.lr_drop_factor if epoch >= self.epochs // 2 else self.lr
 
     def sgd(self, params: dict[str, Tensor], lr: float | None = None) -> SGD:
         return SGD(params, lr=self.lr if lr is None else lr, momentum=self.momentum,
@@ -199,13 +197,31 @@ def label_correction(dataset: Dataset, m: ModelTriple, cfg: TrainConfig) -> Data
     return dataset.with_labels(new_labels)
 
 
+def _contrastive_terms(net: ModelTriple, cfg: TrainConfig, mode: str, x_lab: np.ndarray,
+                       labels: np.ndarray, x_unl: np.ndarray,
+                       rng: np.random.Generator) -> list[tuple[float, Tensor]]:
+    """The ``(weight, loss)`` contrastive terms of ``mode``: ``self`` SelfCon on
+    the labeled rows, ``sup`` SupCon on them, ``cssl`` SupCon on them then
+    SelfCon on the unlabeled rows. A term with zero weight or < 2 rows is left out."""
+    terms = []
+    if mode in ("sup", "cssl") and cfg.lambda_sup != 0 and len(x_lab) >= 2:
+        views = make_view_batch(net, x_lab, labels, cfg.aug, "strong", rng)
+        terms.append((cfg.lambda_sup, sup_con_loss(views, cfg.tau3)))
+    self_rows = {"self": x_lab, "cssl": x_unl}.get(mode, ())
+    if cfg.lambda_self != 0 and len(self_rows) >= 2:
+        views = make_view_batch(net, self_rows, None, cfg.aug, "strong", rng)
+        terms.append((cfg.lambda_self, self_con_loss(views, cfg.tau2)))
+    return terms
+
+
 def _mixmatch_step(net: ModelTriple, guesser: DuoModel, opt: SGD, cfg: TrainConfig,
-                   x_lab: np.ndarray, targets: np.ndarray, x_unl: np.ndarray,
-                   epoch: int, rng: np.random.Generator, contrastive):
+                   mode: str, x_lab: np.ndarray, labels: np.ndarray,
+                   targets: np.ndarray, x_unl: np.ndarray, epoch: int,
+                   rng: np.random.Generator):
     """One semi-supervised SGD step on ``net``: ``guesser`` co-guesses the
-    unlabeled rows' labels, both sides are strong-augmented and MixUp-ed, and
-    each ``(weight, term)`` pair from ``contrastive()`` is added to the loss
-    in turn. Returns the values of Lx, Lu, Lreg and the contrastive terms."""
+    unlabeled rows' labels, both sides are strong-augmented and MixUp-ed
+    (labeled rows with their ``targets``), and each weighted contrastive term
+    of ``mode`` is added in turn. Returns the values of Lx, Lu, Lreg and Lcl."""
     if len(x_unl) > 0:
         guessed = guess_labels(guesser, x_unl, cfg.aug, cfg.ssl, rng)
         x_unl_s = augment(x_unl, cfg.aug, "strong", rng)
@@ -216,7 +232,7 @@ def _mixmatch_step(net: ModelTriple, guesser: DuoModel, opt: SGD, cfg: TrainConf
                              cfg.ssl.mixup_alpha, rng)
     lx, lu, lreg, total = semi_loss(net, batch, cfg.ssl, float(epoch))
     # drawn after the mix, so the views follow it in the rng stream
-    terms = contrastive()
+    terms = _contrastive_terms(net, cfg, mode, x_lab, labels, x_unl, rng)
     for weight, term in terms:
         total = total + T.scale(term, weight)
     _step(opt, total)
@@ -251,23 +267,9 @@ class CodimTrainer:
         warmup(self.dataset, self.duo, cfg.warmup_epochs, cfg)
         if cfg.label_correction:
             self.dataset = label_correction(self.dataset, self.base, cfg)
-        # bare mode has no contrastive term, so its projector is not trained
-        heads = ("feat", "cls") if cfg.mode == "bare" else ()
-        self.opts = [cfg.sgd(net.params(*heads)) for net in self.duo.nets]
+        # SGD skips a parameter with no gradient, so bare mode's projector stays put
+        self.opts = [cfg.sgd(net.params()) for net in self.duo.nets]
         self.post_warmup_consistency = self.measure_consistency(0xFFFF)
-
-    def _contrastive_terms(self, net, x_lab, labels_lab, x_unl, rng):
-        cfg = self.cfg
-        if cfg.mode == "bare":
-            return []
-        clean_views = make_view_batch(net, x_lab, labels_lab, cfg.aug, "strong", rng)
-        if cfg.mode == "self":
-            return [(cfg.lambda_cl, self_con_loss(clean_views, cfg.tau2))]
-        l_cl = sup_con_loss(clean_views, cfg.tau3)
-        if cfg.mode == "cssl" and len(x_unl) >= 2:
-            noisy_views = make_view_batch(net, x_unl, None, cfg.aug, "strong", rng)
-            l_cl = l_cl + self_con_loss(noisy_views, cfg.tau2)
-        return [(cfg.lambda_cl, l_cl)]
 
     def epoch(self, epoch: int) -> EpochMetrics:
         cfg, data = self.cfg, self.dataset
@@ -293,9 +295,8 @@ class CodimTrainer:
                 refined = co_refine(part.clean_prob[lab_idx],
                                     one_hot(noisy_lab, data.num_classes),
                                     own_pred, cfg.ssl.sharpen_t)
-                losses = _mixmatch_step(
-                    net, self.duo, opt, cfg, x_lab, refined, x_unl, epoch, rng,
-                    partial(self._contrastive_terms, net, x_lab, noisy_lab, x_unl, rng))
+                losses = _mixmatch_step(net, self.duo, opt, cfg, cfg.mode, x_lab,
+                                        noisy_lab, refined, x_unl, epoch, rng)
                 sums = [s + v for s, v in zip(sums, losses)]
                 steps += 1
         if data.flip_mask.any() and not data.flip_mask.all():
@@ -383,19 +384,7 @@ def train_cssl(dataset: Dataset, labeled_mask: np.ndarray,
         unl_idx = _draw(rng, unl_pool, cfg.batch_size)
         x_lab, x_unl = dataset.x[lab_idx], dataset.x[unl_idx]
         labels = dataset.noisy_labels[lab_idx]
-
-        def contrastive():
-            terms = []
-            if cfg.lambda_sup > 0 and len(x_lab) >= 2:
-                vb = make_view_batch(net, x_lab, labels, cfg.aug, "strong", rng)
-                terms.append((cfg.lambda_sup, sup_con_loss(vb, cfg.tau3)))
-            if cfg.lambda_self > 0 and len(x_unl) >= 2:
-                vb = make_view_batch(net, x_unl, None, cfg.aug, "strong", rng)
-                terms.append((cfg.lambda_self, self_con_loss(vb, cfg.tau2)))
-            return terms
-
-        return _mixmatch_step(net, solo, opt, cfg, x_lab,
-                              one_hot(labels, dataset.num_classes), x_unl, epoch,
-                              rng, contrastive)
+        return _mixmatch_step(net, solo, opt, cfg, "cssl", x_lab, labels,
+                              one_hot(labels, dataset.num_classes), x_unl, epoch, rng)
 
     return net, _train_solo(net, dataset, cfg, step)

@@ -91,7 +91,7 @@ def test_make_dataset_and_train_config(tmp_path):
     assert ds.num_classes == 3 and ds.flip_mask.sum() == round(0.3 * ds.n)
     cfg = make_train_config(values)
     assert cfg.feat_hidden == (8, 8) and cfg.mode == "sup"
-    cfg_dm = make_train_config(values, mode="dividemix")
+    cfg_dm = make_train_config({**values, "mode": "dividemix"})
     assert cfg_dm.mode == "bare" and cfg_dm.pretrain_steps == 0
     cfg_ce = make_train_config(parse_config_text(SMALL_CONFIG + "mode = ce\n"))
     assert cfg_ce.mode == "bare" and cfg_ce.pretrain_steps == 10
@@ -113,6 +113,10 @@ def test_cli_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("bogus = 1\n")
     assert main(["gen", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+    for removed in ("lambda_cl", "unlabeled_loss", "lr_drop_epoch"):
+        cfg.write_text(f"{removed} = 1\n")
+        assert main(["train", str(cfg)]) == 2
+        assert f"unknown key {removed!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("blob", [b"epochs = 2\n\xff\xfe\n", b"out_dir = a\x00b\n"],
@@ -281,6 +285,16 @@ def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys):
     ("train", "seed = -1", "seed"),
     ("gen", "noise_seed = -1", "noise seed"),
     ("train", "scale_hi = inf", "scale_range"),
+    ("train", "momentum = nan", "momentum"),
+    ("train", "weight_decay = inf", "weight_decay"),
+    ("train", "lambda_u = inf", "lambda_u"),
+    ("train", "mixup_alpha = inf", "mixup_alpha"),
+    ("train", "sharpen_t = 1e-320", "sharpen_t"),
+    ("train", "lambda_sup = nan", "lambda_sup"),
+    ("cssl", "lambda_self = -1", "lambda_self"),
+    ("train", "samples_per_class = 2", "samples_per_class"),
+    pytest.param("train", "num_classes = 1\nsamples_per_class = 5", "num_classes",
+                 id="train-one-class-test-split-num_classes"),
 ])
 def test_cli_config_value_that_used_to_crash_exits_2(tmp_path, capsys, command, line, key):
     cfg, _ = write_config(tmp_path, line + "\n")
@@ -339,10 +353,9 @@ def test_empty_config_dataset_is_default_blobs():
 
 
 def test_every_train_field_is_settable_from_config():
-    by_hand = {"mode": "cssl", "unlabeled_loss": "ce", "feat_hidden": "16,8",
+    by_hand = {"mode": "cssl", "feat_hidden": "16,8",
                "scale_range": "scale_lo = 0.8\nscale_hi = 1.3"}
-    wanted = {"mode": "cssl", "unlabeled_loss": "ce", "feat_hidden": (16, 8),
-              "scale_range": (0.8, 1.3)}
+    wanted = {"mode": "cssl", "feat_hidden": (16, 8), "scale_range": (0.8, 1.3)}
     for owner, path in ((TrainConfig(), ()), (SslHyper(), ("ssl",)),
                         (AugmentSpec(), ("aug",))):
         for f in fields(owner):
@@ -372,8 +385,27 @@ def test_cli_cssl_snapshot_records_trusted_labels(tmp_path):
     assert main(["cssl", cfg, "--labeled-ratio", "0.5"]) == 0
     snapshot = open(os.path.join(out_dir, "config_resolved.txt")).read()
     assert "noise_kind = none" in snapshot.splitlines()
+    assert "mode = cssl" in snapshot.splitlines()
     manifest = open(os.path.join(out_dir, "manifest.txt")).read()
     assert f"config_sha256 = {hashlib.sha256(snapshot.encode()).hexdigest()}" in manifest
+
+
+def test_cli_bare_snapshot_replays_the_run(tmp_path):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["train", cfg, "--mode", "bare"]) == 0
+    snapshot = os.path.join(out_dir, "config_resolved.txt")
+    assert "mode = bare" in open(snapshot).read().splitlines()
+    first = open(os.path.join(out_dir, "metrics.csv"), "rb").read()
+    assert main(["train", snapshot]) == 0
+    assert open(os.path.join(out_dir, "metrics.csv"), "rb").read() == first
+
+
+def test_cli_train_lambda_sup_zero_drops_supcon(tmp_path):
+    cfg, out_dir = write_config(tmp_path, "lambda_sup = 0\n")
+    assert main(["train", cfg, "--mode", "sup"]) == 0
+    rows = open(os.path.join(out_dir, "metrics.csv")).read().splitlines()
+    col = rows[0].split(",").index("loss_cl")
+    assert len(rows) == 3 and all(float(r.split(",")[col]) == 0.0 for r in rows[1:])
 
 
 @pytest.mark.parametrize("threshold", ["2", "-1", "nan"])

@@ -202,7 +202,8 @@ def test_augment_deterministic_under_seed():
 
 
 def test_make_view_batch_interleaves_pairs():
-    arch = Arch(input_dim=3, num_classes=2)
+    arch = Arch(input_dim=3, num_classes=2, feat_hidden=(64, 64), proj_hidden=64,
+                proj_dim=16)
     m = ModelTriple(arch, seed=0)
     x = rng_for(2).normal(size=(5, 3))
     labels = np.array([0, 1, 0, 1, 1])

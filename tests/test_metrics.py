@@ -94,7 +94,8 @@ def test_partition_quality_counts():
 
 
 def _model(seed=0):
-    return ModelTriple(Arch(input_dim=2, num_classes=3, feat_hidden=(16, 16)),
+    return ModelTriple(Arch(input_dim=2, num_classes=3, feat_hidden=(16, 16),
+                            proj_hidden=64, proj_dim=16),
                        seed=seed)
 
 

@@ -146,11 +146,7 @@ def manual_semi_loss(m, batch, hyper, epoch):
     lx = -np.mean((batch.mixed_targets[lab]
                    * np.log(probs[lab])).sum(axis=1))
     if (~lab).any():
-        if hyper.unlabeled_loss == "l2":
-            lu = np.mean((probs[~lab] - batch.mixed_targets[~lab]) ** 2)
-        else:
-            lu = -np.mean((batch.mixed_targets[~lab]
-                           * np.log(probs[~lab])).sum(axis=1))
+        lu = np.mean((probs[~lab] - batch.mixed_targets[~lab]) ** 2)
     else:
         lu = 0.0
     pi = 1.0 / batch.mixed_targets.shape[1]
@@ -161,10 +157,9 @@ def manual_semi_loss(m, batch, hyper, epoch):
     return lx, lu, lreg, lx + ramp * lu + hyper.lambda_r * lreg
 
 
-@pytest.mark.parametrize("unlabeled_loss", ["l2", "ce"])
-def test_semi_loss_matches_numpy_oracle(unlabeled_loss):
+def test_semi_loss_matches_numpy_oracle():
     duo = make_duo()
-    hyper = SslHyper(unlabeled_loss=unlabeled_loss)
+    hyper = SslHyper()
     rng = rng_for(0xC6)
     batch = build_semi_batch(rng.normal(size=(4, 3)), one_hot(np.array([0, 1, 2, 1]), 3),
                              rng.normal(size=(6, 3)), rng.dirichlet(np.ones(3), size=6),
@@ -213,8 +208,9 @@ def test_ssl_hyper_validation():
         SslHyper(sharpen_t=0.0)
     with pytest.raises(ParameterError):
         SslHyper(mixup_alpha=0.0)
-    with pytest.raises(ParameterError):
-        SslHyper(unlabeled_loss="mse")
-    for bad in ({"lambda_u": np.nan}, {"lambda_r": np.nan}, {"mixup_alpha": np.nan}):
-        with pytest.raises(ParameterError):
+    for bad in ({"lambda_u": np.nan}, {"lambda_r": np.nan}, {"mixup_alpha": np.nan},
+                {"lambda_u": np.inf}, {"lambda_r": np.inf}, {"mixup_alpha": np.inf},
+                {"sharpen_t": 1e-320}, {"sharpen_t": np.nan}):
+        (name, value), = bad.items()
+        with pytest.raises(ParameterError, match=f"{name} = {value}"):
             SslHyper(**bad)

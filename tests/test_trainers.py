@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from codim.contrastive import make_view_batch, self_con_loss, sup_con_loss
 from codim.data import BlobSpec, gen_blobs
 from codim.errors import DegenerateInputError, ParameterError
 from codim.models import ModelTriple
 from codim.noise import NoiseSpec
 from codim.trainers import (RUN_RECORD_HEADER, CodimTrainer, TrainConfig,
-                            label_correction, pretrain_selfcon, train_ce,
-                            train_codim, train_cssl, warmup)
+                            _contrastive_terms, label_correction, pretrain_selfcon,
+                            train_ce, train_codim, train_cssl, warmup)
 from codim.models import DuoModel
 
 from conftest import rng_for
@@ -39,10 +40,20 @@ def test_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ParameterError):
         TrainConfig(lr=0.0)
-    for name in ("lr", "lr_drop_factor", "tau1", "tau2", "tau3"):
-        for bad in (0.0, -1.0, float("nan")):
+    for name in ("lr", "lr_drop_factor", "tau1", "tau2", "tau3", "label_correction_lr"):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError, match=f"{name} = "):
                 TrainConfig(**{name: bad})
+    for name in ("lr_drop_factor", "tau1", "tau2", "tau3"):
+        with pytest.raises(ParameterError, match=f"{name} = 1e-320"):
+            TrainConfig(**{name: 1e-320})
+    for name in ("weight_decay", "lambda_sup", "lambda_self", "momentum"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ParameterError, match=f"{name} = "):
+                TrainConfig(**{name: bad})
+    for name in ("weight_decay", "lambda_sup", "lambda_self"):
+        with pytest.raises(ParameterError, match=f"{name} = -1"):
+            TrainConfig(**{name: -1.0})
     for name, bad in (("epochs", 0), ("batch_size", 1), ("proj_hidden", 0),
                       ("proj_dim", 0), ("seed", -1), ("feat_hidden", (8, 0)),
                       ("feat_hidden", ())):
@@ -54,10 +65,10 @@ def test_config_validation():
 
 
 def test_lr_schedule():
-    cfg = TrainConfig(lr=0.1, epochs=10, lr_drop_epoch=-1, lr_drop_factor=10.0)
+    cfg = TrainConfig(lr=0.1, epochs=10, lr_drop_factor=10.0)
     assert cfg.lr_at(4) == 0.1
-    assert cfg.lr_at(5) == pytest.approx(0.01)  # default drop at epochs // 2
-    cfg2 = TrainConfig(lr=0.1, epochs=10, lr_drop_epoch=3, lr_drop_factor=2.0)
+    assert cfg.lr_at(5) == pytest.approx(0.01)  # one drop, at epochs // 2
+    cfg2 = TrainConfig(lr=0.1, epochs=7, lr_drop_factor=2.0)
     assert cfg2.lr_at(2) == 0.1 and cfg2.lr_at(3) == pytest.approx(0.05)
 
 
@@ -128,6 +139,39 @@ def test_all_modes_run_and_record(mode):
         assert all(r.loss_cl == 0.0 for r in record.rows)
     else:
         assert any(r.loss_cl != 0.0 for r in record.rows)
+
+
+@pytest.mark.parametrize("mode, kinds", [("bare", []), ("self", ["self"]),
+                                         ("sup", ["sup"]), ("cssl", ["sup", "self"])])
+def test_contrastive_terms_rule(mode, kinds):
+    ds = small_dataset()
+    net = ModelTriple(small_config().arch(ds.dim, ds.num_classes), seed=0)
+    x_lab, labels, x_unl = ds.x[:6], ds.noisy_labels[:6], ds.x[6:12]
+
+    def expected(cfg, x_lab, x_unl):
+        """(weight, value) of each kept term, its views drawn from a fresh rng."""
+        rng, out = rng_for(5), []
+        for kind in kinds:
+            weight = cfg.lambda_sup if kind == "sup" else cfg.lambda_self
+            rows = x_lab if kind == "sup" or mode == "self" else x_unl
+            if weight == 0 or len(rows) < 2:
+                continue
+            row_labels = labels[:len(rows)] if kind == "sup" else None
+            views = make_view_batch(net, rows, row_labels, cfg.aug, "strong", rng)
+            loss = (sup_con_loss(views, cfg.tau3) if kind == "sup"
+                    else self_con_loss(views, cfg.tau2))
+            out.append((weight, loss.item()))
+        return out
+
+    cases = [(small_config(lambda_sup=0.5, lambda_self=2.0), x_lab, x_unl),
+             (small_config(lambda_sup=0.0), x_lab, x_unl),  # zero weight: dropped
+             (small_config(lambda_self=0.0), x_lab, x_unl),
+             (small_config(), x_lab[:1], x_unl),  # one row: dropped
+             (small_config(), x_lab, x_unl[:1])]
+    for cfg, xl, xu in cases:
+        got = _contrastive_terms(net, cfg, mode, xl, labels[:len(xl)], xu, rng_for(5))
+        assert [(w, t.item()) for w, t in got] == expected(cfg, xl, xu)
+    assert len(expected(*cases[0])) == len(kinds)
 
 
 def test_train_codim_deterministic():
@@ -204,6 +248,16 @@ def test_label_correction_leaves_model_untouched():
         assert np.array_equal(v, before[k])
     assert fixed.n == ds.n
     assert np.array_equal(fixed.clean_labels, ds.clean_labels)
+
+
+def test_label_correction_relabels_the_trainer_dataset():
+    ds = small_dataset()
+    cfg = small_config(label_correction=True, label_correction_epochs=3)
+    trainer = CodimTrainer(ds, cfg)
+    trainer.prepare()
+    want = label_correction(ds, trainer.base, cfg).noisy_labels
+    assert np.array_equal(trainer.dataset.noisy_labels, want)
+    assert np.array_equal(trainer.dataset.clean_labels, ds.clean_labels)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
