@@ -41,6 +41,9 @@ def _build_id() -> str:
 
 
 def _prepare_run_dir(values: dict) -> str:
+    """Write the config snapshot and manifest into ``out_dir``: call it only
+    once the config, dataset and inputs have been accepted, so a rejected run
+    leaves an earlier run's files alone."""
     out_dir = values["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     snapshot = resolved_config_text(values)
@@ -57,8 +60,9 @@ def _prepare_run_dir(values: dict) -> str:
 
 def cmd_gen(args) -> int:
     values = load_config(args.config)
-    out_dir = _prepare_run_dir(values)
     ds = make_dataset(values)
+    make_train_config(values)  # a config that cannot train is rejected here too
+    out_dir = _prepare_run_dir(values)
     header = (["index"] + [f"x{i}" for i in range(ds.dim)]
               + ["clean_label", "noisy_label", "flip"])
     write_csv(os.path.join(out_dir, "train.csv"), header,
@@ -74,9 +78,9 @@ def cmd_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     values = load_config(args.config)
-    out_dir = _prepare_run_dir(values)
     ds = make_dataset(values)
     cfg = make_train_config(values)
+    out_dir = _prepare_run_dir(values)
     model = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=cfg.seed)
     losses = pretrain_selfcon(ds, model, cfg)
     save_checkpoint(os.path.join(out_dir, "pretrain.ckpt"), model.state_dict())
@@ -92,12 +96,12 @@ def cmd_train(args) -> int:
     values = load_config(args.config)
     if args.mode is not None:
         values["mode"] = args.mode  # the snapshot records the mode that runs
-    out_dir = _prepare_run_dir(values)
     ds = make_dataset(values)
     if len(ds.test_labels) < 3:  # the embedding export needs 3 rows
         raise ConfigError("samples_per_class and num_classes leave < 3 test rows")
     cfg = make_train_config(values)
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
+    out_dir = _prepare_run_dir(values)
     if values["mode"] == "ce":
         net, record = train_ce(ds, cfg)
         nets = {"net_a": net}
@@ -122,9 +126,9 @@ def cmd_cssl(args) -> int:
         raise ConfigError("labeled_ratio must be in (0, 1]")
     values["noise_kind"] = "none"  # trusted-label setting
     values["mode"] = "cssl"  # what train_cssl runs
-    out_dir = _prepare_run_dir(values)
     ds = make_dataset(values)
     cfg = make_train_config(values)
+    out_dir = _prepare_run_dir(values)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     mask = np.zeros(ds.n, dtype=bool)
     n_lab = max(1, int(round(values["labeled_ratio"] * ds.n)))

@@ -89,38 +89,17 @@ def _check_batch(v: ViewBatch, tau: float, need_labels: bool):
         raise DegenerateInputError("supervised contrastive loss requires labels")
 
 
-def _info_nce(v: ViewBatch, keys: np.ndarray, tau: float) -> Tensor:
-    """Mean over anchors of InfoNCE whose positives are the other views with
-    the anchor's key; anchors with no positive are left out of the mean."""
-    n = v.num_views
-    sim = T.scale(T.matmul(v.z, T.transpose(v.z)), 1.0 / tau)
-    not_self = 1.0 - np.eye(n)
-    lse = T.logsumexp_rows(sim, mask=not_self)
-    pos_mask = (keys[:, None] == keys[None, :]).astype(np.float64) * not_self
-    counts = pos_mask.sum(axis=1)
-    valid = counts > 0
-    if not valid.any():
-        raise DegenerateInputError("contrastive loss: no anchor has a positive")
-    inv_counts = np.where(valid, 1.0 / np.maximum(counts, 1.0), 0.0)
-    mean_pos = T.tsum(T.mul(sim, Tensor(pos_mask * inv_counts[:, None])),
-                      axis=1, keepdims=True)
-    per_anchor = lse - mean_pos
-    if not valid.all():
-        per_anchor = T.mul(per_anchor, Tensor(valid.astype(np.float64)[:, None]))
-    return T.scale(T.tsum(per_anchor), 1.0 / valid.sum())
-
-
 def self_con_loss(v: ViewBatch, tau: float) -> Tensor:
     """Mean over anchors of -log softmax similarity with the sibling view."""
     _check_batch(v, tau, need_labels=False)
-    return _info_nce(v, v.source_index, tau)
+    return T.info_nce(v.z, v.source_index, tau)
 
 
 def sup_con_loss(v: ViewBatch, tau: float) -> Tensor:
     """Mean over anchors of the InfoNCE terms whose positives share the
     anchor's label; anchors without one are skipped, so it is never NaN."""
     _check_batch(v, tau, need_labels=True)
-    return _info_nce(v, v.labels, tau)
+    return T.info_nce(v.z, v.labels, tau)
 
 
 def make_view_batch(m: ModelTriple, x: np.ndarray, labels, spec: AugmentSpec,

@@ -57,12 +57,15 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def mean_weak_proba(nets: tuple[ModelTriple, ...], x: np.ndarray, spec: AugmentSpec,
                     num_augs: int, rng: np.random.Generator) -> np.ndarray:
-    """Mean softmax of every net in ``nets`` over ``num_augs`` shared weak views."""
-    acc = np.zeros((x.shape[0], nets[0].arch.num_classes))
-    for _ in range(num_augs):
-        view = augment(x, spec, "weak", rng)
-        for net in nets:
-            acc += net.predict_proba(view)
+    """Mean softmax of every net in ``nets`` over ``num_augs`` shared weak
+    views, drawn in turn and queried in one batch per net."""
+    n = x.shape[0]
+    views = np.concatenate([augment(x, spec, "weak", rng) for _ in range(num_augs)])
+    probs = [net.predict_proba(views) for net in nets]
+    acc = np.zeros((n, nets[0].arch.num_classes))
+    for a in range(num_augs):
+        for p in probs:
+            acc += p[a * n:(a + 1) * n]
     acc /= len(nets) * num_augs
     return acc
 
@@ -135,17 +138,9 @@ def semi_loss(m: ModelTriple, batch: SemiBatch, hyper: SslHyper, epoch: float):
     lx = T.softmax_cross_entropy(T.gather_rows(logits, lab_idx),
                                  batch.mixed_targets[lab_idx])
     if len(unl_idx) > 0:
-        # mean squared error over all prediction entries
-        probs = T.softmax_rows(T.gather_rows(logits, unl_idx))
-        diff = probs - Tensor(batch.mixed_targets[unl_idx])
-        lu = T.tmean(T.mul(diff, diff))
+        lu = T.softmax_mse(T.gather_rows(logits, unl_idx), batch.mixed_targets[unl_idx])
     else:
         lu = Tensor(0.0)
-    num_classes = batch.mixed_targets.shape[1]
-    mean_pred = T.tmean(T.softmax_rows(logits), axis=0)
-    prior = 1.0 / num_classes
-    # KL(uniform || mean prediction)
-    lreg = T.tsum(T.scale(Tensor(np.full(num_classes, np.log(prior))) - T.log(mean_pred),
-                          prior))
+    lreg = T.uniform_kl(logits)
     total = lx + T.scale(lu, hyper.ramped_lambda_u(epoch)) + T.scale(lreg, hyper.lambda_r)
     return lx, lu, lreg, total

@@ -43,9 +43,7 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.add(T.matmul(h, w), b)
-            if i < last or self.final_relu:
-                h = T.relu(h)
+            h = T.matmul(h, w, bias=b, relu=i < last or self.final_relu)
         return h
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:

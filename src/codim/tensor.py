@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Small by design: enough primitives for MLPs, InfoNCE-style losses and the
-semi-supervised objectives used elsewhere in the package. Graphs are built
-eagerly; ``backward()`` runs a single reverse topological sweep and
-accumulates into zero-initialized ``grad`` buffers, so parameter sharing
-between heads works out of the box.
+Small by design: one node per fused op, each with a hand-derived backward,
+covering exactly the MLP layers and losses used elsewhere in the package.
+Graphs are built eagerly; ``backward()`` runs a single reverse topological
+sweep. Gradients are allocated lazily and summed into fresh arrays, never
+written in place, so a buffer shared between two parents is safe and
+parameter sharing between heads works out of the box.
 """
 
 from __future__ import annotations
@@ -48,20 +49,14 @@ class Tensor:
             raise DimensionError("backward() requires a scalar output")
         order = []
         _post_order(self, set(), order)
-        for node in order:
-            if node.requires_grad and node.grad is None:
-                node.grad = np.zeros_like(node.data)
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None:
+            if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
     # operator sugar
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other), -1.0))
 
 
 def _post_order(node: Tensor, seen: set, order: list):
@@ -80,49 +75,41 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum ``grad`` back down to ``shape`` after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+def _accumulate(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t.grad`` without writing into either array."""
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
+
+
+def _check_rows(name: str, logits: Tensor, targets: np.ndarray | None = None):
+    """A non-empty 2-D batch, with ``targets`` of the same shape if given."""
+    if logits.data.ndim != 2 or (targets is not None and logits.data.shape != targets.shape):
+        got = "" if targets is None else f" vs targets {targets.shape}"
+        raise DimensionError(f"{name}: logits {logits.shape}{got}")
+    if logits.data.shape[0] < 1:
+        raise DegenerateInputError(f"{name}: empty batch")
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the logits of a row-wise softmax ``p`` given ``dp``."""
+    return p * (dp - (dp * p).sum(axis=1, keepdims=True))
 
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    try:
-        out_data = a.data + b.data
-    except ValueError as exc:
-        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
+        _accumulate(a, g)
+        _accumulate(b, g)
 
-    return Tensor(out_data, parents=(a, b), backward=backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        out_data = a.data * b.data
-    except ValueError as exc:
-        raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
-
-    return Tensor(out_data, parents=(a, b), backward=backward)
+    return Tensor(a.data + b.data, parents=(a, b), backward=backward)
 
 
 def scale(a, c: float) -> Tensor:
@@ -130,99 +117,41 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
 
     def backward(g):
-        if a.requires_grad:
-            a.grad += g * c
+        _accumulate(a, g * c)
 
     return Tensor(a.data * c, parents=(a,), backward=backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
+    """``a @ b``, plus the 1-D ``bias`` on every row, then ReLU if ``relu``:
+    one linear layer as one node."""
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out_data = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        bias = _wrap(bias)
+        if bias.data.shape != (b.data.shape[1],):
+            raise DimensionError(f"matmul: bias {bias.shape} for output {out_data.shape}")
+        out_data += bias.data
+        parents = (a, b, bias)
+    mask = None
+    if relu:
+        mask = out_data > 0.0
+        out_data *= mask
 
     def backward(g):
+        if mask is not None:
+            g = g * mask
         if a.requires_grad:
-            a.grad += g @ b.data.T
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            b.grad += a.data.T @ g
+            _accumulate(b, a.data.T @ g)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0))
 
-    return Tensor(out_data, parents=(a, b), backward=backward)
-
-
-def transpose(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g.T
-
-    return Tensor(a.data.T, parents=(a,), backward=backward)
-
-
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    mask = a.data > 0.0
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g * mask
-
-    return Tensor(a.data * mask, parents=(a,), backward=backward)
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g * out_data
-
-    return Tensor(out_data, parents=(a,), backward=backward)
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g / a.data
-
-    return Tensor(np.log(a.data), parents=(a,), backward=backward)
-
-
-def pow_const(a, c: float) -> Tensor:
-    a = _wrap(a)
-    c = float(c)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g * c * np.power(a.data, c - 1.0)
-
-    return Tensor(np.power(a.data, c), parents=(a,), backward=backward)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if a.requires_grad:
-            if axis is None:
-                a.grad += np.broadcast_to(g, a.data.shape)
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a.grad += np.broadcast_to(gg, a.data.shape)
-
-    return Tensor(out_data, parents=(a,), backward=backward)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _wrap(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return Tensor(out_data, parents=parents, backward=backward)
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -232,68 +161,68 @@ def gather_rows(a, idx) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            np.add.at(a.grad, idx, g)
+            rows = np.zeros_like(a.data)
+            np.add.at(rows, idx, g)
+            _accumulate(a, rows)
 
     return Tensor(a.data[idx], parents=(a,), backward=backward)
-
-
-def logsumexp_rows(a, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise log-sum-exp, optionally restricted to ``mask`` (constant 0/1).
-
-    Stabilized by subtracting the per-row max over the allowed entries; the
-    max is treated as a constant, which leaves both the value and the
-    gradient exact.
-    """
-    a = _wrap(a)
-    if a.data.ndim != 2:
-        raise DimensionError("logsumexp_rows expects a 2-D tensor")
-    if mask is None:
-        keep = np.ones(a.data.shape, dtype=bool)
-    else:
-        keep = np.asarray(mask) > 0
-    if not keep.any(axis=1).all():
-        raise DegenerateInputError("logsumexp_rows: a row has no allowed entries")
-    masked = np.where(keep, a.data, -np.inf)
-    m = masked.max(axis=1, keepdims=True)
-    weights = np.where(keep, np.exp(masked - m), 0.0)
-    out_data = m + np.log(weights.sum(axis=1, keepdims=True))
-
-    def backward(g):
-        if a.requires_grad:
-            soft = np.where(keep, np.exp(masked - out_data), 0.0)
-            a.grad += g * soft
-
-    return Tensor(out_data, parents=(a,), backward=backward)
-
-
-def softmax_rows(logits) -> Tensor:
-    """Numerically stabilized row-wise softmax."""
-    logits = _wrap(logits)
-    lse = logsumexp_rows(logits)
-    return exp(logits - lse)
 
 
 def softmax_cross_entropy(logits, targets) -> Tensor:
     """Mean over rows of -sum_c target_c * log softmax(logits)_c.
 
     ``targets`` are probability rows (each must sum to 1 within 1e-6) and are
-    treated as constants.
+    treated as constants. The log-sum-exp is stabilized by the row max.
     """
     logits = _wrap(logits)
     targets = np.asarray(targets, dtype=np.float64)
-    if logits.data.shape != targets.shape:
-        raise DimensionError(
-            f"softmax_cross_entropy: logits {logits.shape} vs targets {targets.shape}"
-        )
-    if logits.data.shape[0] < 1:
-        raise DegenerateInputError("softmax_cross_entropy: empty batch")
-    row_sums = targets.sum(axis=1)
+    _check_rows("softmax_cross_entropy", logits, targets)
+    row_sums = targets.sum(axis=1, keepdims=True)
     if np.any(np.abs(row_sums - 1.0) > 1e-6):
         raise ContractError("softmax_cross_entropy: target rows must sum to 1")
-    lse = logsumexp_rows(logits)
-    # -sum_c t_c (logit_c - lse) per row, then batch mean
-    per_row = tsum(mul(Tensor(targets), add(lse, scale(logits, -1.0))), axis=1)
-    return tmean(per_row)
+    n = logits.data.shape[0]
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    out_data = ((row_sums * np.log(s)).sum() - (targets * shifted).sum()) / n
+
+    def backward(g):
+        _accumulate(logits, (e / s * row_sums - targets) * (g / n))
+
+    return Tensor(out_data, parents=(logits,), backward=backward)
+
+
+def softmax_mse(logits, targets) -> Tensor:
+    """Mean over all entries of (softmax(logits) - targets)^2, ``targets``
+    constant: MixMatch's unlabeled loss."""
+    logits = _wrap(logits)
+    targets = np.asarray(targets, dtype=np.float64)
+    _check_rows("softmax_mse", logits, targets)
+    p = _softmax(logits.data)
+    diff = p - targets
+
+    def backward(g):
+        _accumulate(logits, _softmax_backward(p, diff * (2.0 * g / diff.size)))
+
+    return Tensor((diff * diff).mean(), parents=(logits,), backward=backward)
+
+
+def uniform_kl(logits) -> Tensor:
+    """KL(uniform || mean over rows of softmax(logits)): the regularizer that
+    keeps the batch's mean prediction from collapsing onto few classes."""
+    logits = _wrap(logits)
+    _check_rows("uniform_kl", logits)
+    n, c = logits.data.shape
+    p = _softmax(logits.data)
+    mean_p = p.mean(axis=0)
+    prior = 1.0 / c
+
+    def backward(g):
+        dp = np.broadcast_to(-g * prior / (n * mean_p), p.shape)
+        _accumulate(logits, _softmax_backward(p, dp))
+
+    return Tensor((prior * (np.log(prior) - np.log(mean_p))).sum(),
+                  parents=(logits,), backward=backward)
 
 
 def l2_normalize(v) -> Tensor:
@@ -301,12 +230,55 @@ def l2_normalize(v) -> Tensor:
     v = _wrap(v)
     if v.data.ndim != 2:
         raise DimensionError("l2_normalize expects a 2-D tensor")
-    norms = np.sqrt((v.data ** 2).sum(axis=1))
+    norms = np.sqrt((v.data * v.data).sum(axis=1, keepdims=True))
     if np.any(norms < EPS_NORM):
         raise DegenerateInputError(f"l2_normalize: row norm below {EPS_NORM}")
-    sq = tsum(mul(v, v), axis=1, keepdims=True)
-    inv = pow_const(sq, -0.5)
-    return mul(v, inv)
+    z = v.data / norms
+
+    def backward(g):
+        # Jacobian of each row: (I - z z^T) / |v|
+        _accumulate(v, (g - z * (g * z).sum(axis=1, keepdims=True)) / norms)
+
+    return Tensor(z, parents=(v,), backward=backward)
+
+
+def info_nce(z, keys, tau: float) -> Tensor:
+    """Mean over anchors (rows of ``z``) of InfoNCE at temperature ``tau``.
+
+    Similarities are ``z z^T / tau``; anchor i's candidates are every other
+    row and its positives the other rows with ``keys[i]``. The per-anchor
+    term is the log-sum-exp over candidates minus the mean positive
+    similarity; anchors with no positive are left out of the mean. With
+    G = valid/n_valid * (candidate softmax - positives/count), the gradient
+    is dz = (G + G^T) z / tau.
+    """
+    z = _wrap(z)
+    keys = np.asarray(keys)
+    if z.data.ndim != 2 or keys.shape != z.data.shape[:1]:
+        raise DimensionError(f"info_nce: embeddings {z.shape} with keys {keys.shape}")
+    positives = keys[:, None] == keys[None, :]
+    np.fill_diagonal(positives, False)
+    counts = positives.sum(axis=1)
+    valid = counts > 0
+    if not valid.any():
+        raise DegenerateInputError("contrastive loss: no anchor has a positive")
+    inv_tau = 1.0 / tau
+    sim = (z.data @ z.data.T) * inv_tau
+    candidates = sim.copy()
+    np.fill_diagonal(candidates, -np.inf)
+    m = candidates.max(axis=1, keepdims=True)
+    e = np.exp(candidates - m)
+    s = e.sum(axis=1, keepdims=True)
+    pos_weights = positives / np.maximum(counts, 1)[:, None]
+    weight = valid / valid.sum()
+    per_anchor = (m + np.log(s))[:, 0] - (sim * pos_weights).sum(axis=1)
+
+    def backward(g):
+        if z.requires_grad:
+            grad_sim = (e / s - pos_weights) * (weight * g)[:, None]
+            _accumulate(z, (grad_sim + grad_sim.T) @ z.data * inv_tau)
+
+    return Tensor((per_anchor * weight).sum(), parents=(z,), backward=backward)
 
 
 class SGD:

@@ -140,7 +140,7 @@ def test_criterion_1_gradient_suite():
         targets = rng.dirichlet(np.ones(3), size=5)
 
         def net_loss():
-            h = T.relu(T.add(T.matmul(Tensor(x), w), b))
+            h = T.matmul(Tensor(x), w, bias=b, relu=True)
             return T.softmax_cross_entropy(h, targets)
 
         worst = max(worst, check_gradients(net_loss, [w, b], tol=1e-6))

@@ -304,6 +304,19 @@ def test_cli_config_value_that_used_to_crash_exits_2(tmp_path, capsys, command, 
     assert err.startswith("config error: ") and key in err
 
 
+@pytest.mark.parametrize("command", ["gen", "pretrain", "train", "cssl"])
+def test_cli_rejected_config_leaves_earlier_run_dir_alone(tmp_path, capsys, command):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["gen", cfg]) == 0
+    kept = {name: open(os.path.join(out_dir, name), "rb").read()
+            for name in ("config_resolved.txt", "manifest.txt")}
+    bad, _ = write_config(tmp_path, "seed = 7\nlambda_sup = nan\n")
+    assert main([command, bad]) == 2
+    assert "lambda_sup" in capsys.readouterr().err
+    for name, content in kept.items():
+        assert open(os.path.join(out_dir, name), "rb").read() == content, name
+
+
 @pytest.mark.parametrize("text", [
     "",
     ",".join(RUN_RECORD_HEADER) + "\n",

@@ -8,7 +8,8 @@ import scipy.stats
 from codim.contrastive import AugmentSpec, augment
 from codim.errors import DegenerateInputError, ParameterError
 from codim.mixmatch import (SemiBatch, SslHyper, build_semi_batch, co_refine,
-                            guess_labels, mixup, one_hot, semi_loss, sharpen)
+                            guess_labels, mean_weak_proba, mixup, one_hot,
+                            semi_loss, sharpen)
 from codim.models import Arch, DuoModel, ModelTriple
 
 from conftest import check_gradients, rng_for
@@ -114,6 +115,26 @@ def test_guess_labels_matches_manual_loop():
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(DegenerateInputError):
         guess_labels(duo, np.zeros((0, 3)), spec, hyper, rng)
+
+
+@pytest.mark.parametrize("num_nets", [1, 2])
+def test_mean_weak_proba_batched_matches_per_view_loop(num_nets):
+    """One predict_proba call per net over all weak views gives the per-view
+    loop's mean, and leaves the rng where the loop leaves it."""
+    nets = make_duo().nets[:num_nets]
+    spec = AugmentSpec()
+    u = rng_for(0xC5).normal(size=(7, 3))
+    rng = rng_for(0xC6)
+    got = mean_weak_proba(nets, u, spec, 3, rng)
+    ref_rng = rng_for(0xC6)
+    want = np.zeros((7, 3))
+    for _ in range(3):
+        view = augment(u, spec, "weak", ref_rng)
+        for net in nets:
+            want += net.predict_proba(view)
+    want /= 3 * num_nets
+    assert np.abs(got - want).max() <= 1e-12
+    assert rng.random() == ref_rng.random()
 
 
 # ------------------------------------------------------------- batches
