@@ -56,6 +56,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = blob[offset:offset + name_len].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"name at offset {offset} is not UTF-8") from exc
+        if name in params:
+            raise CheckpointError(f"duplicate name {name!r} at offset {offset}")
         offset += name_len
         if offset + 4 > total:
             raise CheckpointError(f"truncated rank at offset {offset}")

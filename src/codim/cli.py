@@ -32,7 +32,8 @@ from .trainers import (MODES, RUN_RECORD_HEADER, pretrain_selfcon, train_ce,
 def _build_id() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=5)
+                             capture_output=True, text=True, timeout=5,
+                             cwd=os.path.dirname(os.path.abspath(__file__)))
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:
@@ -190,6 +191,8 @@ def cmd_report(args) -> int:
     if not rows or any(len(row) != len(RUN_RECORD_HEADER) for row in rows):
         raise ConfigError(f"{metrics_path} needs one or more rows of "
                           f"{len(RUN_RECORD_HEADER)} values")
+    if not np.isfinite(rows).all():
+        raise ConfigError(f"{metrics_path} holds a non-finite value")
     cols = {name: [row[i] for row in rows] for i, name in enumerate(RUN_RECORD_HEADER)}
     export_curves_svg({k: cols[k] for k in ("loss_x", "loss_u", "loss_reg", "loss_cl")},
                       os.path.join(args.run_dir, "losses.svg"))

@@ -103,14 +103,14 @@ def sup_con_loss(v: ViewBatch, tau: float) -> Tensor:
 
 
 def make_view_batch(m: ModelTriple, x: np.ndarray, labels, spec: AugmentSpec,
-                    strength: str, rng: np.random.Generator) -> ViewBatch:
-    """Two independent augmentations per row, projected and interleaved."""
+                    rng: np.random.Generator) -> ViewBatch:
+    """Two independent strong augmentations per row, projected and interleaved."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise DegenerateInputError("make_view_batch: empty batch")
     k = x.shape[0]
-    a1 = augment(x, spec, strength, rng)
-    a2 = augment(x, spec, strength, rng)
+    a1 = augment(x, spec, "strong", rng)
+    a2 = augment(x, spec, "strong", rng)
     stacked = np.empty((2 * k, x.shape[1]))
     stacked[0::2] = a1
     stacked[1::2] = a2

@@ -70,8 +70,7 @@ class BlobSpec:
 
     def __post_init__(self):
         _check_counts(self, "num_classes", "dim", "samples_per_class")
-        if not (self.class_separation > 0 and self.intra_std > 0):
-            raise ParameterError("class_separation and intra_std must be positive")
+        ParameterError.check(self, "> 0", "class_separation", "intra_std")
 
 
 def blob_means(num_classes: int, dim: int, separation: float) -> np.ndarray:
@@ -135,6 +134,7 @@ class RingSpec:
 
     def __post_init__(self):
         _check_counts(self, "num_classes", "samples_per_class")
+        ParameterError.check(self, ">= 0", "base_radius", "radius_step", "radial_std")
 
 
 def gen_rings(spec: RingSpec) -> Dataset:

@@ -58,15 +58,12 @@ def partition_quality(clean_prob: np.ndarray, flip_mask: np.ndarray,
 
 
 def consistency_metric(m: ModelTriple, x: np.ndarray, spec: AugmentSpec,
-                       n_neighbors: int = 8,
-                       rng: np.random.Generator | None = None) -> float:
+                       n_neighbors: int, rng: np.random.Generator) -> float:
     """Mean over samples of whether any of n weakly augmented neighbors flips
     the predicted class; a finite-sample estimate of the neighborhood
     disagreement rate (0 = perfectly consistent)."""
     if n_neighbors < 1:
         raise ParameterError("n_neighbors must be >= 1")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
     x = np.asarray(x, dtype=np.float64)
     base = np.argmax(m.predict_proba(x), axis=1)
     changed = np.zeros(len(x), dtype=bool)
@@ -93,9 +90,9 @@ _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
 
 
-def export_embeddings_2d(m: ModelTriple, x: np.ndarray, labels: np.ndarray,
-                         out_path, size: int = 480):
-    """PCA scatter of the feature space as a deterministic SVG file."""
+def export_embeddings_2d(m: ModelTriple, x: np.ndarray, labels: np.ndarray, out_path):
+    """PCA scatter of the feature space as a deterministic 480x480 SVG file."""
+    size = 480
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < 3:
         raise DegenerateInputError("export_embeddings_2d needs at least 3 samples")
@@ -122,9 +119,9 @@ def export_embeddings_2d(m: ModelTriple, x: np.ndarray, labels: np.ndarray,
     _write_svg(out_path, size, size, lines)
 
 
-def export_curves_svg(series: dict[str, list[float]], out_path,
-                      width: int = 640, height: int = 360):
-    """Line plot of one or more per-epoch series as a deterministic SVG."""
+def export_curves_svg(series: dict[str, list[float]], out_path):
+    """Line plot of one or more per-epoch series as a deterministic 640x360 SVG."""
+    width, height = 640, 360
     if not series:
         raise DegenerateInputError("export_curves_svg: no series given")
     margin = 40

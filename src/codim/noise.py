@@ -113,14 +113,14 @@ def _densities(values, weights, means, variances):
     return dens, np.maximum(dens.sum(axis=0), 1e-300)
 
 
-def fit_gmm_1d(values: np.ndarray, max_iter: int = 100, tol: float = 1e-6,
-               var_floor: float = 1e-6) -> GmmParams:
+def fit_gmm_1d(values: np.ndarray) -> GmmParams:
     """Two-component EM on 1-D data.
 
     Init: split at the median, component stats from the two halves. Iterates
     until the log-likelihood change drops below ``tol``. Raises on nearly
     constant input; the caller should then treat all samples as clean.
     """
+    max_iter, tol, var_floor = 100, 1e-6, 1e-6
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if n < 10:

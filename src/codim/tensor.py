@@ -284,8 +284,8 @@ def info_nce(z, keys, tau: float) -> Tensor:
 class SGD:
     """SGD with momentum and decoupled-from-nothing classic weight decay."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float = 0.9,
-                 weight_decay: float = 5e-4):
+    def __init__(self, params: dict[str, Tensor], lr: float, momentum: float,
+                 weight_decay: float):
         self.params = dict(params)
         self.lr = lr
         self.momentum = momentum

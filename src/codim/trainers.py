@@ -155,7 +155,7 @@ def pretrain_selfcon(dataset: Dataset, m: ModelTriple, cfg: TrainConfig) -> list
     losses = []
     for _ in range(cfg.pretrain_steps):
         idx = _draw(rng, np.arange(dataset.n), cfg.batch_size)
-        vb = make_view_batch(m, dataset.x[idx], None, cfg.aug, "strong", rng)
+        vb = make_view_batch(m, dataset.x[idx], None, cfg.aug, rng)
         losses.append(_step(opt, self_con_loss(vb, cfg.tau1)))
     return losses
 
@@ -205,11 +205,11 @@ def _contrastive_terms(net: ModelTriple, cfg: TrainConfig, mode: str, x_lab: np.
     SelfCon on the unlabeled rows. A term with zero weight or < 2 rows is left out."""
     terms = []
     if mode in ("sup", "cssl") and cfg.lambda_sup != 0 and len(x_lab) >= 2:
-        views = make_view_batch(net, x_lab, labels, cfg.aug, "strong", rng)
+        views = make_view_batch(net, x_lab, labels, cfg.aug, rng)
         terms.append((cfg.lambda_sup, sup_con_loss(views, cfg.tau3)))
     self_rows = {"self": x_lab, "cssl": x_unl}.get(mode, ())
     if cfg.lambda_self != 0 and len(self_rows) >= 2:
-        views = make_view_batch(net, self_rows, None, cfg.aug, "strong", rng)
+        views = make_view_batch(net, self_rows, None, cfg.aug, rng)
         terms.append((cfg.lambda_self, self_con_loss(views, cfg.tau2)))
     return terms
 

@@ -1,21 +1,15 @@
 """Acceptance gate: one test per criterion, each printing PASS/FAIL.
 
-The end-to-end experiments (criteria 5-7, 9) use frozen benchmark protocols;
-every run is fully deterministic, so these results are reproducible
-byte-for-byte. Criterion 5 runs on two noisy-blob protocols, both with 40%
-strict symmetric noise:
-
-- memorizing (5a): C=4, d=20 (18 nuisance dimensions), 400 train / 200
-  test, a 128-128 MLP. Few samples and a wide network let cross-entropy fit
-  the flipped labels, so label noise costs it accuracy and CoDiM-Sup has
-  something to win back. 5a also checks, per seed, that CE on the clean
-  labels beats CE on the noisy ones by >= 5 points, so the protocol can
-  never again leave no room for the gap it asks for.
-- 2-D (5b, 5c, 6): C=4, d=2, 2000 train / 1000 test, the default 64-64
-  MLP. CE on the noisy labels already sits at the Bayes ceiling here
-  (nearest-true-mean accuracy 0.961-0.970 on seeds 0-4), so CE + 5 points
-  is above 1.0 and 5a cannot be tested on it; the partition and
-  consistency criteria still are.
+The end-to-end criteria (5-7, 9) run the frozen protocols of
+``scripts/reproduce.py`` on seeds 0-4; its docstring describes each one, and
+``python3 scripts/reproduce.py`` prints the same per-seed numbers as tables.
+Every run is fully deterministic, so these results are reproducible
+byte-for-byte. 5a runs on the memorizing protocol because CE on the 2-D
+protocol already sits at the Bayes ceiling (nearest-true-mean accuracy
+0.961-0.970 on seeds 0-4), so CE + 5 points would exceed 1.0; 5a also checks,
+per seed, that CE on the clean labels beats CE on the noisy ones by >= 5
+points, so the protocol can never again leave no room for the gap it asks
+for.
 """
 
 import time
@@ -23,9 +17,10 @@ import time
 import numpy as np
 import pytest
 
+import reproduce
 from codim import tensor as T
 from codim.checkpoint import load_checkpoint, save_checkpoint
-from codim.contrastive import AugmentSpec, self_con_loss, sup_con_loss
+from codim.contrastive import self_con_loss, sup_con_loss
 from codim.data import (IDX_IMAGES_MAGIC, BlobSpec, _read_idx, gen_blobs,
                         write_idx_images)
 from codim.errors import IdxParseError
@@ -33,96 +28,45 @@ from codim.mixmatch import SslHyper, build_semi_batch, one_hot, semi_loss
 from codim.models import Arch, ModelTriple
 from codim.noise import NoiseSpec, fit_gmm_1d, inject_noise
 from codim.tensor import Tensor
-from codim.trainers import (CodimTrainer, TrainConfig, label_correction,
-                            pretrain_selfcon, train_ce, train_codim, train_cssl)
+from codim.trainers import TrainConfig, train_codim
 
 from conftest import check_gradients, rng_for
 from test_contrastive import brute_self_con, brute_sup_con, random_view_batch
 
 SEEDS = range(5)
 
-# criterion-7 protocol uses augmentations that do not mask coordinates:
-# zeroing a coordinate of 2-D data destroys class information and makes the
-# contrastive terms harmful rather than neutral/helpful
-NO_MASK_AUG = AugmentSpec(weak_jitter_sigma=0.1, strong_jitter_sigma=0.25,
-                          mask_prob=0.0, scale_range=(0.8, 1.2))
-
 
 def report(criterion: str, passed: bool, detail: str):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} — {detail}")
 
 
+def run_protocol(protocol):
+    """One row per seed, each the seed plus ``protocol(seed)``'s numbers,
+    and the seconds the runs took."""
+    start = time.time()
+    rows = [dict(seed=s, **protocol(s)) for s in SEEDS]
+    return rows, time.time() - start
+
+
 # ----------------------------------------------------------- fixtures
-
-def benchmark_dataset(seed):
-    """Blobs benchmark: C=4, d=2, 2000 train / 1000 test, 40% symmetric noise
-    (strict convention: every corrupted label differs from the original)."""
-    return gen_blobs(BlobSpec(4, 2, 750, 3.0, 1.0, seed=seed)).with_noise(
-        NoiseSpec("symmetric", 0.4, seed=seed + 100, redraw_over_all=False))
-
 
 @pytest.fixture(scope="module")
 def blob_benchmark():
-    """CE baseline first (the oracle), then CoDiM-Sup, 5 seeds, defaults."""
-    runs = []
-    start = time.time()
-    for seed in SEEDS:
-        ds = benchmark_dataset(seed)
-        cfg = TrainConfig(mode="sup", seed=seed)  # default MLP, E=30
-        _, ce_record = train_ce(ds, cfg)
-        trainer = CodimTrainer(ds, cfg)
-        _, codim_record = trainer.run()
-        runs.append(dict(seed=seed, ce=ce_record, codim=codim_record,
-                         warm_consistency=trainer.post_warmup_consistency,
-                         final_consistency=trainer.final_consistency))
-    runs.append(dict(elapsed=time.time() - start))
-    return runs
+    """2-D blobs: CE baseline first (the oracle), then CoDiM-Sup."""
+    return run_protocol(reproduce.blobs_2d)
 
 
 @pytest.fixture(scope="module")
 def memorizing_benchmark():
-    """Memorizing blobs: C=4, d=20, 400 train / 200 test, noise as in
-    ``benchmark_dataset``. CE on clean labels (the headroom oracle), CE on
-    noisy labels, then CoDiM-Sup; 5 seeds, a 128-128 MLP, every other
-    setting at its default."""
-    rows = []
-    start = time.time()
-    for seed in SEEDS:
-        clean = gen_blobs(BlobSpec(4, 20, 150, 3.0, 1.0, seed=seed))
-        noisy = clean.with_noise(
-            NoiseSpec("symmetric", 0.4, seed=seed + 100, redraw_over_all=False))
-        cfg = TrainConfig(mode="sup", seed=seed, feat_hidden=(128, 128))
-        _, clean_ce = train_ce(clean, cfg)
-        _, ce = train_ce(noisy, cfg)
-        _, codim = CodimTrainer(noisy, cfg).run()
-        rows.append(dict(seed=seed, clean_ce=clean_ce.best_acc,
-                         ce=ce.best_acc, codim=codim.best_acc))
-    return rows, time.time() - start
+    """Memorizing blobs: CE on clean labels (the headroom oracle), CE on
+    noisy labels, then CoDiM-Sup."""
+    return run_protocol(reproduce.memorizing)
 
 
 @pytest.fixture(scope="module")
 def cssl_benchmark():
     """20% labeled blobs, no noise; plain SSL measured first."""
-
-    def run(seed, lam, pretrain):
-        ds = gen_blobs(BlobSpec(4, 2, 30, 2.5, 1.0, seed=seed))
-        cfg = TrainConfig(mode="cssl", seed=seed, epochs=20,
-                          pretrain_steps=500 if pretrain else 0,
-                          lambda_sup=lam, lambda_self=lam, warmup_epochs=0,
-                          aug=NO_MASK_AUG)
-        rng = rng_for(seed, 0x20)
-        mask = np.zeros(ds.n, dtype=bool)
-        mask[rng.choice(ds.n, size=max(1, round(0.2 * ds.n)), replace=False)] = True
-        _, record = train_cssl(ds, mask, cfg)
-        return record.best_acc
-
-    rows = []
-    for seed in SEEDS:
-        plain_ssl = run(seed, lam=0.0, pretrain=False)
-        cssl_pre = run(seed, lam=1.0, pretrain=True)
-        cssl_nopre = run(seed, lam=1.0, pretrain=False)
-        rows.append((seed, plain_ssl, cssl_pre, cssl_nopre))
-    return rows
+    return run_protocol(reproduce.cssl)[0]
 
 
 # ----------------------------------------------------------- criterion 1
@@ -253,8 +197,7 @@ def test_criterion_5a_codim_beats_ce(memorizing_benchmark):
 
 
 def test_criterion_5b_partition_auc(blob_benchmark):
-    aucs = [(r["seed"], max(row.partition_auc for row in r["codim"].rows[:10]))
-            for r in blob_benchmark if "seed" in r]
+    aucs = [(r["seed"], r["auc_at_10"]) for r in blob_benchmark[0]]
     ok = all(a >= 0.85 for _, a in aucs)
     report("5b (partition AUC >= 0.85 by epoch 10, all seeds)", ok,
            ", ".join(f"seed {s}: {a:.3f}" for s, a in aucs))
@@ -262,10 +205,9 @@ def test_criterion_5b_partition_auc(blob_benchmark):
 
 
 def test_criterion_5c_best_at_least_last(blob_benchmark):
-    rows = [r for r in blob_benchmark if "seed" in r]
-    ok = all(r["codim"].best_acc >= r["codim"].last_acc
-             and r["ce"].best_acc >= r["ce"].last_acc for r in rows)
-    elapsed = next(r["elapsed"] for r in blob_benchmark if "elapsed" in r)
+    rows, elapsed = blob_benchmark
+    ok = all(r["codim_best"] >= r["codim_last"] and r["ce_best"] >= r["ce_last"]
+             for r in rows)
     budget_ok = elapsed <= 15 * 60
     report("5c (best >= last, runtime budget)", ok and budget_ok,
            f"best>=last on all runs: {ok}; total benchmark time "
@@ -276,10 +218,10 @@ def test_criterion_5c_best_at_least_last(blob_benchmark):
 # ----------------------------------------------------------- criterion 6
 
 def test_criterion_6_consistency_direction(blob_benchmark):
-    rows = [r for r in blob_benchmark if "seed" in r]
-    wins = sum(r["final_consistency"] < r["warm_consistency"] for r in rows)
+    rows = blob_benchmark[0]
+    wins = sum(r["consistency_end"] < r["consistency_warm"] for r in rows)
     detail = ", ".join(
-        f"seed {r['seed']}: {r['warm_consistency']:.4f}->{r['final_consistency']:.4f}"
+        f"seed {r['seed']}: {r['consistency_warm']:.4f}->{r['consistency_end']:.4f}"
         for r in rows)
     ok = wins >= 4
     report("6 (consistency drops from warmup to end, 4/5 seeds)", ok,
@@ -290,10 +232,10 @@ def test_criterion_6_consistency_direction(blob_benchmark):
 # ----------------------------------------------------------- criterion 7
 
 def test_criterion_7_cssl_vs_ssl(cssl_benchmark):
-    cssl_wins = sum(cssl_pre >= plain for _, plain, cssl_pre, _ in cssl_benchmark)
-    pre_wins = sum(cssl_pre >= nopre for _, _, cssl_pre, nopre in cssl_benchmark)
-    detail = "; ".join(f"seed {s}: ssl {p:.3f} cssl {c:.3f} no-pre {n:.3f}"
-                       for s, p, c, n in cssl_benchmark)
+    cssl_wins = sum(r["cssl"] >= r["plain_ssl"] for r in cssl_benchmark)
+    pre_wins = sum(r["cssl"] >= r["cssl_no_pre"] for r in cssl_benchmark)
+    detail = "; ".join(f"seed {r['seed']}: ssl {r['plain_ssl']:.3f} cssl {r['cssl']:.3f} "
+                       f"no-pre {r['cssl_no_pre']:.3f}" for r in cssl_benchmark)
     ok = cssl_wins >= 4 and pre_wins >= 4
     report("7 (CSSL >= SSL and pretrained >= not, 4/5 seeds)", ok,
            f"cssl>=ssl {cssl_wins}/5, pre>=nopre {pre_wins}/5; {detail}")
@@ -330,21 +272,12 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 # ----------------------------------------------------------- criterion 9
 
 def test_criterion_9_label_correction():
-    wins = 0
-    details = []
-    for seed in SEEDS:
-        ds = gen_blobs(BlobSpec(4, 2, 750, 3.0, 1.0, seed=seed)).with_noise(
-            NoiseSpec("symmetric", 0.8, seed=seed + 100))
-        cfg = TrainConfig(seed=seed, pretrain_steps=1000, aug=NO_MASK_AUG)
-        m = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=seed)
-        pretrain_selfcon(ds, m, cfg)
-        fixed = label_correction(ds, m, cfg)
-        before, after = int(ds.flip_mask.sum()), int(fixed.flip_mask.sum())
-        wins += after < before
-        details.append(f"seed {seed}: {before}->{after}")
+    rows = run_protocol(reproduce.relabel)[0]
+    wins = sum(r["flips_after"] < r["flips_before"] for r in rows)
     ok = wins >= 4
     report("9 (label correction reduces flips, 4/5 seeds)", ok,
-           f"{wins}/5; " + ", ".join(details))
+           f"{wins}/5; " + ", ".join(f"seed {r['seed']}: {r['flips_before']}->"
+                                     f"{r['flips_after']}" for r in rows))
     assert ok
 
 

@@ -4,6 +4,7 @@ run-directory artifacts."""
 import hashlib
 import os
 import struct
+import subprocess
 from dataclasses import fields
 
 import numpy as np
@@ -144,6 +145,22 @@ def test_cli_gen_writes_csvs(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "config_resolved.txt"))
     manifest = open(os.path.join(out_dir, "manifest.txt")).read()
     assert "config_sha256" in manifest and "seed" in manifest
+
+
+def test_cli_manifest_build_ignores_the_working_directory_repo(tmp_path, monkeypatch):
+    other = tmp_path / "other"
+    other.mkdir()
+    git = ["git", "-c", "user.name=test", "-c", "user.email=test@example.com"]
+    subprocess.run(git + ["init", "-q"], cwd=other, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "empty"],
+                   cwd=other, check=True)
+    foreign = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=other,
+                             capture_output=True, text=True, check=True).stdout.strip()
+    monkeypatch.chdir(other)
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["gen", cfg]) == 0
+    build = open(os.path.join(out_dir, "manifest.txt")).readline()
+    assert build.startswith("build = ") and build != f"build = {foreign}\n"
 
 
 def test_cli_pretrain_then_train_with_checkpoint(tmp_path, capsys):
@@ -293,6 +310,8 @@ def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys):
     ("train", "lambda_sup = nan", "lambda_sup"),
     ("cssl", "lambda_self = -1", "lambda_self"),
     ("train", "samples_per_class = 2", "samples_per_class"),
+    ("gen", "class_separation = inf", "class_separation"),
+    ("gen", "intra_std = inf", "intra_std"),
     pytest.param("train", "num_classes = 1\nsamples_per_class = 5", "num_classes",
                  id="train-one-class-test-split-num_classes"),
 ])
@@ -322,7 +341,9 @@ def test_cli_rejected_config_leaves_earlier_run_dir_alone(tmp_path, capsys, comm
     ",".join(RUN_RECORD_HEADER) + "\n",
     ",".join(RUN_RECORD_HEADER) + "\n" + ",".join(["1"] * 9 + ["high"]) + "\n",
     ",".join(RUN_RECORD_HEADER) + "\n" + ",".join(["1"] * 9) + "\n",
-], ids=["empty", "header-only", "non-numeric", "short-row"])
+    ",".join(RUN_RECORD_HEADER) + "\n" + ",".join(["1"] * 9 + ["nan"]) + "\n",
+    ",".join(RUN_RECORD_HEADER) + "\n" + ",".join(["1"] * 4 + ["inf"] + ["1"] * 5) + "\n",
+], ids=["empty", "header-only", "non-numeric", "short-row", "nan", "inf"])
 def test_cli_report_malformed_metrics_exits_2(tmp_path, capsys, text):
     (tmp_path / "metrics.csv").write_text(text)
     assert main(["report", str(tmp_path)]) == 2

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codim import tensor as T
 from codim.contrastive import (AugmentSpec, ViewBatch, augment, make_view_batch,
                                self_con_loss, sup_con_loss)
 from codim.errors import DegenerateInputError, ParameterError
@@ -207,11 +206,11 @@ def test_make_view_batch_interleaves_pairs():
     m = ModelTriple(arch, seed=0)
     x = rng_for(2).normal(size=(5, 3))
     labels = np.array([0, 1, 0, 1, 1])
-    vb = make_view_batch(m, x, labels, AugmentSpec(), "weak", rng_for(3))
+    vb = make_view_batch(m, x, labels, AugmentSpec(), rng_for(3))
     assert vb.num_views == 10
     assert np.array_equal(vb.source_index, np.repeat(np.arange(5), 2))
     assert np.array_equal(vb.labels, np.repeat(labels, 2))
     # rows are unit-norm projections
     assert np.allclose((vb.z.data ** 2).sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(DegenerateInputError):
-        make_view_batch(m, np.zeros((0, 3)), None, AugmentSpec(), "weak", rng_for(4))
+        make_view_batch(m, np.zeros((0, 3)), None, AugmentSpec(), rng_for(4))

@@ -52,6 +52,13 @@ def test_blob_spec_validation():
         BlobSpec(intra_std=-1.0)
     with pytest.raises(ParameterError):
         BlobSpec(intra_std=float("nan"))
+    for name in ("class_separation", "intra_std"):
+        with pytest.raises(ParameterError, match=f"{name} = inf must be finite"):
+            BlobSpec(**{name: float("inf")})
+    for name in ("base_radius", "radius_step", "radial_std"):
+        for bad in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match=f"{name} = {bad} must be finite"):
+                RingSpec(**{name: bad})
     for name in ("num_classes", "dim", "samples_per_class"):
         with pytest.raises(ParameterError, match=f"{name} = 0 must be >= 1"):
             BlobSpec(**{name: 0})

@@ -1,12 +1,14 @@
-"""Every name a module under src/codim imports is used in that module, and
-every module-level private name it defines is referenced elsewhere in it."""
+"""Every name a module under src/codim, tests/ or scripts/ imports is used in
+that module, and every module-level private name a module under src/codim
+defines is referenced elsewhere in it."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "codim"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "codim"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,7 +56,10 @@ def test_detects_unused_import():
         "line 1: os", "line 2: b"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -151,6 +151,9 @@ def test_checkpoint_malformed_headers_raise_checkpoint_error(tmp_path):
         "name at offset 12 is not UTF-8": (version + struct.pack("<I", 2) + b"\xff\xfe"
                                            + struct.pack("<I", 0) + struct.pack("<d", 1.0)),
         "truncated version at offset 4": b"",
+        # one name listed twice: the second copy would silently win
+        "duplicate name 'w' at offset 33": (version + 2 * (struct.pack("<I", 1) + b"w"
+                                                            + struct.pack("<IId", 1, 1, 1.0))),
         # dims whose product overflows 64 bits
         "truncated payload at offset 29": (version + struct.pack("<I", 1) + b"w"
                                            + struct.pack("<4I", 3, *[2 ** 32 - 1] * 3)

@@ -370,5 +370,5 @@ def test_sgd_skips_params_without_grad():
 def test_sgd_zero_grad():
     p = Tensor(np.ones(3), requires_grad=True)
     p.grad = np.ones(3)
-    SGD({"p": p}, lr=0.1).zero_grad()
+    SGD({"p": p}, lr=0.1, momentum=0.9, weight_decay=5e-4).zero_grad()
     assert p.grad is None

@@ -157,7 +157,7 @@ def test_contrastive_terms_rule(mode, kinds):
             if weight == 0 or len(rows) < 2:
                 continue
             row_labels = labels[:len(rows)] if kind == "sup" else None
-            views = make_view_batch(net, rows, row_labels, cfg.aug, "strong", rng)
+            views = make_view_batch(net, rows, row_labels, cfg.aug, rng)
             loss = (sup_con_loss(views, cfg.tau3) if kind == "sup"
                     else self_con_loss(views, cfg.tau2))
             out.append((weight, loss.item()))
