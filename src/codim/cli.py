@@ -194,6 +194,16 @@ def cmd_report(args) -> int:
     if not np.isfinite(rows).all():
         raise ConfigError(f"{metrics_path} holds a non-finite value")
     cols = {name: [row[i] for row in rows] for i, name in enumerate(RUN_RECORD_HEADER)}
+    for name in ("test_acc_a", "test_acc_b", "test_acc_ens", "partition_auc", "consistency"):
+        for i, v in enumerate(cols[name], start=1):
+            if not 0.0 <= v <= 1.0:
+                raise ConfigError(f"{metrics_path} data row {i}: {name} = {v:g} "
+                                  "is outside [0, 1]")
+    epochs = cols["epoch"]
+    for i in range(1, len(epochs)):
+        if epochs[i] <= epochs[i - 1]:
+            raise ConfigError(f"{metrics_path} data row {i + 1}: epoch {epochs[i]:g} "
+                              f"does not follow epoch {epochs[i - 1]:g}")
     export_curves_svg({k: cols[k] for k in ("loss_x", "loss_u", "loss_reg", "loss_cl")},
                       os.path.join(args.run_dir, "losses.svg"))
     export_curves_svg({k: cols[k] for k in ("test_acc_a", "test_acc_b", "test_acc_ens")},

@@ -81,8 +81,7 @@ class ViewBatch:
 
 
 def _check_batch(v: ViewBatch, tau: float, need_labels: bool):
-    if tau <= 0:
-        raise ParameterError("temperature must be positive")
+    ParameterError.check_value("tau", tau, "invertible")
     if v.num_views < 4:
         raise DegenerateInputError("contrastive loss needs K >= 2 source samples")
     if need_labels and v.labels is None:

@@ -4,6 +4,10 @@ exit status for each: 2 for a bad config or parameter value, 3 otherwise."""
 import math
 
 
+_RULES = {">= 0": lambda v: 0 <= v, "> 0": lambda v: 0 < v,
+          "invertible": lambda v: 0 < v and 1 / v < math.inf}
+
+
 class CodimError(ValueError):
     """Base of every codim error."""
     exit_code = 3
@@ -31,10 +35,13 @@ class ParameterError(CodimError):
         is not finite and ``rule``: ">= 0", "> 0" or "invertible" (> 0 with a
         finite reciprocal, so not a subnormal such as 1e-320)."""
         for name in names:
-            v = getattr(obj, name)
-            ok = {">= 0": 0 <= v, "> 0": 0 < v, "invertible": 0 < v and 1 / v < math.inf}
-            if not (math.isfinite(v) and ok[rule]):
-                raise cls(f"{name} = {v} must be finite and {rule}")
+            cls.check_value(name, getattr(obj, name), rule)
+
+    @classmethod
+    def check_value(cls, name: str, v: float, rule: str):
+        """``check`` for one value ``v`` called ``name``."""
+        if not (math.isfinite(v) and _RULES[rule](v)):
+            raise cls(f"{name} = {v} must be finite and {rule}")
 
 
 class ConfigError(CodimError):

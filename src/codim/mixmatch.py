@@ -43,8 +43,7 @@ class SslHyper:
 
 def sharpen(p: np.ndarray, t: float) -> np.ndarray:
     """Row-wise p^(1/t), renormalized; entropy minimization knob."""
-    if t <= 0:
-        raise ParameterError("sharpening temperature must be positive")
+    ParameterError.check_value("t", t, "invertible")
     p = np.asarray(p, dtype=np.float64)
     powered = np.power(p, 1.0 / t)
     return powered / powered.sum(axis=1, keepdims=True)

@@ -245,38 +245,53 @@ def l2_normalize(v) -> Tensor:
 def info_nce(z, keys, tau: float) -> Tensor:
     """Mean over anchors (rows of ``z``) of InfoNCE at temperature ``tau``.
 
-    Similarities are ``z z^T / tau``; anchor i's candidates are every other
-    row and its positives the other rows with ``keys[i]``. The per-anchor
-    term is the log-sum-exp over candidates minus the mean positive
-    similarity; anchors with no positive are left out of the mean. With
-    G = valid/n_valid * (candidate softmax - positives/count), the gradient
-    is dz = (G + G^T) z / tau.
+    Similarities are ``S = z z^T / tau``; anchor i's candidates are every
+    other row and its positives the other rows with ``keys[i]``, the 0/1
+    matrix P. The per-anchor term is the log-sum-exp over candidates minus
+    the mean positive similarity z_i . (P z)_i / count_i / tau; anchors with
+    no positive are left out of the mean. Besides P, the forward pass holds
+    one n x n buffer: S, turned in place into the shifted exponentials E.
+    With a = w g / s and c = w g / count per anchor (w its weight in the
+    mean, s its row sum of E), the gradient is
+    dz = (a E z + E^T (a z) - c P z - P (c z)) / tau.
     """
     z = _wrap(z)
     keys = np.asarray(keys)
     if z.data.ndim != 2 or keys.shape != z.data.shape[:1]:
         raise DimensionError(f"info_nce: embeddings {z.shape} with keys {keys.shape}")
-    positives = keys[:, None] == keys[None, :]
-    np.fill_diagonal(positives, False)
-    counts = positives.sum(axis=1)
+    n = keys.shape[0]
+    positives = np.empty((n, n))
+    np.equal(keys[:, None], keys, out=positives)
+    positives.flat[::n + 1] = 0.0
+    ones = np.ones(n)
+    counts = positives @ ones
     valid = counts > 0
     if not valid.any():
         raise DegenerateInputError("contrastive loss: no anchor has a positive")
     inv_tau = 1.0 / tau
-    sim = (z.data @ z.data.T) * inv_tau
-    candidates = sim.copy()
-    np.fill_diagonal(candidates, -np.inf)
-    m = candidates.max(axis=1, keepdims=True)
-    e = np.exp(candidates - m)
-    s = e.sum(axis=1, keepdims=True)
-    pos_weights = positives / np.maximum(counts, 1)[:, None]
+    zd = z.data
+    pos_z = positives @ zd
+    # a GEMM on a contiguous z^T: numpy sends z @ z.T to a slower syrk path
+    e = zd @ np.ascontiguousarray(zd.T)
+    e *= inv_tau
+    e.flat[::n + 1] = -np.inf
+    # the row max, read down the columns of the symmetric S, which numpy
+    # reduces with vector loads
+    m = e.max(axis=0)
+    e -= m[:, None]
+    np.exp(e, out=e)
+    s = e @ ones
     weight = valid / valid.sum()
-    per_anchor = (m + np.log(s))[:, 0] - (sim * pos_weights).sum(axis=1)
+    inv_counts = 1.0 / np.maximum(counts, 1.0)
+    per_anchor = m + np.log(s) - np.einsum("ij,ij->i", zd, pos_z) * (inv_counts * inv_tau)
 
     def backward(g):
         if z.requires_grad:
-            grad_sim = (e / s - pos_weights) * (weight * g)[:, None]
-            _accumulate(z, (grad_sim + grad_sim.T) @ z.data * inv_tau)
+            a = (weight * g / s)[:, None]
+            c = (weight * g * inv_counts)[:, None]
+            dz = a * (e @ zd) + e.T @ (a * zd) - c * pos_z - positives @ (c * zd)
+            dz *= inv_tau
+            _accumulate(z, dz)
 
     return Tensor((per_anchor * weight).sum(), parents=(z,), backward=backward)
 

@@ -304,9 +304,11 @@ class CodimTrainer:
                                  for p in partitions]))
         else:
             auc = 0.5  # no planted noise to score against
-        accs = [test_accuracy(predict, data.test_x, data.test_labels)
-                for predict in (self.duo.net_a.predict_proba,
-                                self.duo.net_b.predict_proba, self.duo.ensemble_proba)]
+        # each net predicts once; the ensemble is DuoModel.ensemble_proba's
+        # expression on the same two arrays
+        pa, pb = (net.predict_proba(data.test_x) for net in self.duo.nets)
+        accs = [test_accuracy(lambda _, p=p: p, data.test_x, data.test_labels)
+                for p in (pa, pb, 0.5 * (pa + pb))]
         return EpochMetrics(epoch, *(s / max(steps, 1) for s in sums), *accs,
                             partition_auc=auc,
                             consistency=self.measure_consistency(epoch))

@@ -352,6 +352,33 @@ def test_cli_report_malformed_metrics_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "losses.svg").exists()
 
 
+def _metrics_text(*rows):
+    return "\n".join([",".join(RUN_RECORD_HEADER),
+                      *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+@pytest.mark.parametrize("text, named", [
+    (_metrics_text([0, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.9, 0.1],
+                   [1, 1, 1, 1, 1, 0.5, 0.5, 7, 0.9, 0.1]), "data row 2: test_acc_ens = 7"),
+    (_metrics_text([0, 1, 1, 1, 1, -0.5, 0.5, 0.5, 0.9, 0.1]),
+     "data row 1: test_acc_a = -0.5"),
+    (_metrics_text([0, 1, 1, 1, 1, 0.5, 0.5, 0.5, 3, 0.1]),
+     "data row 1: partition_auc = 3"),
+    (_metrics_text([0, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.9, 1.5]),
+     "data row 1: consistency = 1.5"),
+    (_metrics_text([0, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.9, 0.1],
+                   [1, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.9, 0.1],
+                   [1, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.9, 0.1]), "data row 3: epoch 1"),
+], ids=["accuracy-above-1", "accuracy-negative", "auc-above-1", "consistency-above-1",
+        "repeated-epoch"])
+def test_cli_report_out_of_range_metrics_exits_2(tmp_path, capsys, text, named):
+    (tmp_path / "metrics.csv").write_text(text)
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "metrics.csv" in err and named in err
+    assert not list(tmp_path.glob("*.svg"))
+
+
 def test_cli_pretrained_checkpoint_with_non_utf8_name_exits_3(tmp_path, capsys):
     cfg, _ = write_config(tmp_path)
     ckpt = tmp_path / "bad.ckpt"

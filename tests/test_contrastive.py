@@ -133,6 +133,42 @@ def test_sup_con_skips_anchor_without_positives():
     assert np.isfinite(got)
 
 
+def test_losses_at_tiny_tau_match_brute_force_and_stay_finite():
+    """At tau = 1e-3 similarities reach 1000, past exp's float64 range: the
+    row-max shift keeps value and gradient finite. The oracle shifts each
+    anchor's log-sum-exp by its own largest term."""
+    tau = 1e-3
+    for case in range(5):
+        v = random_view_batch(rng_for(0xB6, case), 6, 4, num_classes=3)
+        z = v.z.data
+        sim = z @ z.T / tau
+        for loss, keys in ((self_con_loss, v.source_index), (sup_con_loss, v.labels)):
+            want, anchors = 0.0, 0
+            for i in range(len(z)):
+                others = [j for j in range(len(z)) if j != i]
+                positives = [j for j in others if keys[j] == keys[i]]
+                if not positives:
+                    continue
+                top = max(sim[i, j] for j in others)
+                lse = top + np.log(sum(np.exp(sim[i, j] - top) for j in others))
+                want += lse - sum(sim[i, j] for j in positives) / len(positives)
+                anchors += 1
+            v.z.grad = None
+            out = loss(v, tau)
+            out.backward()
+            assert out.item() == pytest.approx(want / anchors, rel=1e-12)
+            assert np.isfinite(v.z.grad).all()
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), 1e-320, float("inf")])
+def test_tau_without_a_finite_inverse_rejected(tau):
+    """nan and 1e-320 gave nan, inf a constant loss with zero gradient."""
+    v = random_view_batch(rng_for(0xB7), 4, 3, num_classes=2)
+    for loss in (self_con_loss, sup_con_loss):
+        with pytest.raises(ParameterError, match="tau"):
+            loss(v, tau)
+
+
 def test_contrastive_losses_finite_difference():
     for case in range(20):
         rng = rng_for(0xB4, case)

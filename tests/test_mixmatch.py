@@ -37,8 +37,9 @@ def test_sharpen_t1_is_identity_and_reduces_entropy():
     sharp = sharpen(p, 0.4)
     ent = lambda q: -(q * np.log(np.maximum(q, 1e-300))).sum(axis=1)
     assert (ent(sharp) <= ent(p) + 1e-12).all()
-    with pytest.raises(ParameterError):
-        sharpen(p, 0.0)
+    for t in (0.0, float("nan"), 1e-320, float("inf")):  # nan rows, or uniform at inf
+        with pytest.raises(ParameterError):
+            sharpen(p, t)
 
 
 def test_one_hot():

@@ -285,6 +285,12 @@ def _targets(r, rows, cols):
     return r.dirichlet(np.ones(cols), size=rows)
 
 
+def _tied_rows(r):
+    t = leaf(r, 8, 3)
+    t.data[6] = t.data[1]
+    return t
+
+
 # name -> (loss builder given params and constants, maker of both)
 FD_CASES = {
     "add": (lambda p, c: functional(T.add(p[0], p[1])),
@@ -317,9 +323,15 @@ FD_CASES = {
             lambda r: ([leaf(r, 5, 4)], None)),
     "l2_normalize": (lambda p, c: functional(T.l2_normalize(p[0])),
                      lambda r: ([leaf(r, 3, 4)], None)),
-    # info_nce, whose similarities z z^T take the gradient (G + G^T) z / tau
+    # info_nce, whose similarities z z^T reach the gradient through z and z^T
     "transpose": (lambda p, c: T.info_nce(p[0], np.array([0, 0, 1, 1, 2, 2]), c),
                   lambda r: ([leaf(r, 6, 3)], float(r.uniform(0.2, 1.0)))),
+    # info_nce at SupCon's tau = 0.07 over 4 classes: three anchors share
+    # class 0, anchors 5 and 7 have no positive, rows 1 and 6 are equal, so
+    # their similarities tie
+    "info_nce_cold": (lambda p, c: T.info_nce(p[0], np.array([0, 0, 0, 1, 1, 2, 0, 3]),
+                                              0.07),
+                      lambda r: ([_tied_rows(r)], None)),
 }
 
 

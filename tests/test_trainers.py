@@ -11,6 +11,7 @@ from codim.noise import NoiseSpec
 from codim.trainers import (RUN_RECORD_HEADER, CodimTrainer, TrainConfig,
                             _contrastive_terms, label_correction, pretrain_selfcon,
                             train_ce, train_codim, train_cssl, warmup)
+from codim.metrics import test_accuracy as accuracy_of
 from codim.models import DuoModel
 
 from conftest import rng_for
@@ -100,10 +101,9 @@ def test_warmup_improves_over_random_init():
     cfg = small_config(warmup_epochs=5)
     base = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=0)
     duo = DuoModel.from_pretrained(base, 1, 2)
-    from codim.metrics import test_accuracy
-    before = test_accuracy(duo.ensemble_proba, ds.test_x, ds.test_labels)
+    before = accuracy_of(duo.ensemble_proba, ds.test_x, ds.test_labels)
     warmup(ds, duo, 5, cfg)
-    after = test_accuracy(duo.ensemble_proba, ds.test_x, ds.test_labels)
+    after = accuracy_of(duo.ensemble_proba, ds.test_x, ds.test_labels)
     assert after > max(before, 0.8)
 
 
@@ -217,6 +217,20 @@ def test_post_warmup_and_final_consistency_populated():
     assert trainer.post_warmup_consistency is not None
     assert trainer.final_consistency is not None
     assert 0.0 <= trainer.post_warmup_consistency <= 1.0
+
+
+def test_epoch_accuracies_match_test_accuracy():
+    """The epoch predicts test_x once per net; its ensemble accuracy is the
+    one ensemble_proba gives."""
+    ds = small_dataset()
+    trainer = CodimTrainer(ds, small_config())
+    trainer.prepare()
+    row = trainer.epoch(0)
+    duo = trainer.duo
+    for got, predict in ((row.test_acc_a, duo.net_a.predict_proba),
+                         (row.test_acc_b, duo.net_b.predict_proba),
+                         (row.test_acc_ens, duo.ensemble_proba)):
+        assert got == accuracy_of(predict, ds.test_x, ds.test_labels)
 
 
 def test_train_ce_runs_and_is_deterministic():
