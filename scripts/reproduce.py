@@ -23,11 +23,15 @@ its ACCEPTANCE lines; the pass rules live only in the tests.
                         pretraining, then label correction on the frozen
                         encoder. Flipped labels before and after.
 
+After each table a line gives the protocol's wall seconds, the CPU user and
+sys seconds and the minor page faults of this process over it.
+
 Usage: python3 scripts/reproduce.py [--seeds N] [--protocol NAME ...] [--out-dir DIR]
 """
 
 import argparse
 import os
+import resource
 import sys
 import time
 
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
 
     for name in args.protocol or PROTOCOLS:
         print(f"\n{name}")
-        start = time.time()
+        start, usage = time.time(), resource.getrusage(resource.RUSAGE_SELF)
         rows = []
         for seed in range(args.seeds):
             row = dict(seed=seed, **PROTOCOLS[name](seed))
@@ -139,7 +143,12 @@ def main(argv=None) -> int:
             print(" ".join(f"{_cell(v):>{w}}" for v, w in zip(row.values(), widths)),
                   flush=True)
             rows.append(row)
-        print(f"{args.seeds} seeds in {time.time() - start:.0f}s")
+        wall, end = time.time() - start, resource.getrusage(resource.RUSAGE_SELF)
+        # a storm of minor page faults shows here as sys seconds
+        print(f"{args.seeds} seeds in {wall:.0f}s: "
+              f"user {end.ru_utime - usage.ru_utime:.1f}s, "
+              f"sys {end.ru_stime - usage.ru_stime:.1f}s, "
+              f"{end.ru_minflt - usage.ru_minflt} minor page faults")
         if args.out_dir:
             out = os.path.join(args.out_dir, f"{name}.csv")
             write_csv(out, list(rows[0]), [list(row.values()) for row in rows])

@@ -53,7 +53,26 @@ def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec):
     flip_mask marks the *selected* indices: under the default symmetric
     convention a selected label may be redrawn as its own class, so the
     expected fraction of labels actually differing is ratio*(C-1)/C.
+
+    Raises ParameterError where, within a class, some wrong label would be
+    expected at least as often as the true one: no method can recover the
+    classes then. The ratio must stay below (C-1)/C for strict symmetric
+    noise, 1 for symmetric noise redrawn over all classes and 0.5 for
+    asymmetric noise.
     """
+    if spec.kind == "asymmetric":
+        regime, bound = "asymmetric", 0.5
+    elif spec.redraw_over_all:
+        regime, bound = "symmetric (redrawn over all classes)", 1.0
+    else:
+        if num_classes < 2:
+            raise ParameterError("strict symmetric noise needs num_classes >= 2")
+        regime, bound = "strict symmetric", (num_classes - 1) / num_classes
+    if spec.ratio >= bound:
+        raise ParameterError(
+            f"{regime} noise at ratio {spec.ratio} with C = {num_classes} classes "
+            f"makes a wrong label at least as frequent as the true one; "
+            f"the ratio must be < {bound:.4g}")
     labels = np.asarray(labels, dtype=np.intp)
     n = len(labels)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
@@ -66,8 +85,6 @@ def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec):
         if spec.redraw_over_all:
             noisy[selected] = rng.integers(0, num_classes, size=n_flip)
         else:
-            if num_classes < 2:
-                raise ParameterError("strict symmetric noise needs num_classes >= 2")
             draws = rng.integers(0, num_classes - 1, size=n_flip)
             draws += draws >= labels[selected]
             noisy[selected] = draws

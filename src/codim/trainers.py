@@ -304,8 +304,7 @@ class CodimTrainer:
                                  for p in partitions]))
         else:
             auc = 0.5  # no planted noise to score against
-        # each net predicts once; the ensemble is DuoModel.ensemble_proba's
-        # expression on the same two arrays
+        # each net predicts once; the ensemble is the mean of the two arrays
         pa, pb = (net.predict_proba(data.test_x) for net in self.duo.nets)
         accs = [test_accuracy(lambda _, p=p: p, data.test_x, data.test_labels)
                 for p in (pa, pb, 0.5 * (pa + pb))]

@@ -147,6 +147,19 @@ def test_cli_gen_writes_csvs(tmp_path, capsys):
     assert "config_sha256" in manifest and "seed" in manifest
 
 
+@pytest.mark.parametrize("lines", [
+    "noise_ratio = 0.7\nredraw_over_all = false",  # C = 3: bound 2/3
+    "noise_ratio = 1",
+    "noise_kind = asymmetric\nnoise_ratio = 0.5",
+], ids=["strict", "over-all", "asymmetric"])
+def test_cli_gen_noise_without_a_true_majority_exits_2(tmp_path, capsys, lines):
+    cfg, out_dir = write_config(tmp_path, lines + "\n")
+    assert main(["gen", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "C = 3 classes" in err
+    assert not os.path.exists(os.path.join(out_dir, "train.csv"))
+
+
 def test_cli_manifest_build_ignores_the_working_directory_repo(tmp_path, monkeypatch):
     other = tmp_path / "other"
     other.mkdir()

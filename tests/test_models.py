@@ -1,14 +1,16 @@
 """Model triple wiring, graph-free forward equivalence, checkpoint format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from codim.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from codim.errors import CheckpointError, DimensionError
-from codim.models import Arch, DuoModel, Mlp, ModelTriple
+from codim.models import Arch, Mlp, ModelTriple
 from codim.tensor import Tensor
+from codim.trainers import TrainConfig
 
 from conftest import rng_for
 
@@ -47,11 +49,51 @@ def test_forward_projection_unit_rows():
     assert np.allclose((z ** 2).sum(axis=1), 1.0, atol=1e-12)
 
 
+def one_shot_proba(m, x):
+    """predict_proba as one whole-set pass: the reference for the blocked one."""
+    logits = m.cls.forward_np(m.feat.forward_np(x))
+    logits = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def default_model(seed=0):
+    """The default 64-64 MLP on 2-D inputs with 4 classes."""
+    return ModelTriple(TrainConfig().arch(2, 4), seed=seed)
+
+
 def test_predict_proba_rows_sum_to_one():
     m = make_model()
     p = m.predict_proba(rng_for(3).normal(size=(9, 3)))
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert (p > 0).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])
+def test_blocked_predict_proba_matches_one_shot_pass(n):
+    m = default_model()
+    x = rng_for(8).normal(size=(n, 2))
+    before = x.copy()
+    p = m.predict_proba(x)
+    assert p.shape == (n, 4)
+    np.testing.assert_allclose(p, one_shot_proba(m, x), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(x, before)
+
+
+def test_predict_proba_memory_stays_at_a_few_blocks():
+    """A 2000-row pass allocates its output plus a few 128-row activations,
+    not whole-set temporaries (3.1 MB for one-shot evaluation)."""
+    m = default_model()
+    x = rng_for(9).normal(size=(2000, 2))
+    m.predict_proba(x[:1])
+    tracemalloc.start()
+    try:
+        p = m.predict_proba(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.nbytes + 4 * 128 * 64 * 8
 
 
 def test_input_dimension_checked():
@@ -86,13 +128,6 @@ def test_reinit_classifier_keeps_trunk_bits():
     fresh.feat.weights[0].data[:] = 0.0
     assert not np.array_equal(m.feat.weights[0].data,
                               fresh.feat.weights[0].data)
-
-
-def test_duo_ensemble_is_mean():
-    duo = DuoModel(make_model(0), make_model(1))
-    x = rng_for(6).normal(size=(5, 3))
-    want = 0.5 * (duo.net_a.predict_proba(x) + duo.net_b.predict_proba(x))
-    assert np.array_equal(duo.ensemble_proba(x), want)
 
 
 def test_mlp_bias_keeps_zero_input_off_zero():

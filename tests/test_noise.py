@@ -1,5 +1,7 @@
 """Noise injection statistics and the 1-D two-component GMM fitter."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,26 @@ def test_spec_validation():
     with pytest.raises(ParameterError, match="num_classes >= 2"):
         inject_noise(np.zeros(10, dtype=int), 1,
                      NoiseSpec("symmetric", 0.4, redraw_over_all=False))
+
+
+@pytest.mark.parametrize("c, spec, bound", [
+    (4, NoiseSpec("symmetric", 0.75, redraw_over_all=False), "0.75"),
+    (3, NoiseSpec("symmetric", 2 / 3, redraw_over_all=False), "0.6667"),
+    (2, NoiseSpec("symmetric", 0.5, redraw_over_all=False), "0.5"),
+    (4, NoiseSpec("symmetric", 1.0), "1"),
+    (4, NoiseSpec("asymmetric", 0.5, class_map=adjacent_pair_map(4)), "0.5"),
+], ids=["strict-c4", "strict-c3", "strict-c2", "over-all", "asymmetric"])
+def test_noise_without_a_true_majority_rejected(c, spec, bound):
+    """At the bound a wrong label is expected as often as the true one within
+    a class; one ulp below it the noise is injected."""
+    labels = np.arange(40) % c
+    with pytest.raises(ParameterError, match=(rf"ratio {spec.ratio} with C = {c} "
+                                              rf".* must be < {bound}$")):
+        inject_noise(labels, c, spec)
+    below = replace(spec, ratio=np.nextafter(spec.ratio, 0.0))
+    noisy, flip_mask = inject_noise(labels, c, below)
+    assert flip_mask.sum() == round(below.ratio * 40)
+    assert (noisy[~flip_mask] == labels[~flip_mask]).all()
 
 
 def test_adjacent_pair_map():
