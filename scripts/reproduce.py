@@ -35,6 +35,12 @@ import resource
 import sys
 import time
 
+# One BLAS thread unless the caller set one, as in the tests and the
+# benchmark: the protocols' matrices are small, so more threads mostly spin.
+# Set before NumPy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
+import operator
 import os
-import subprocess
 import sys
 
 import numpy as np
@@ -24,12 +25,13 @@ from .config import (MODE_ALIASES, load_config, make_dataset, make_train_config,
 from .errors import CodimError, ConfigError
 from .metrics import export_curves_svg, export_embeddings_2d, write_csv
 from .models import ModelTriple
-from .noise import partition_losses
+from .noise import check_threshold, partition_losses
 from .trainers import (MODES, RUN_RECORD_HEADER, pretrain_selfcon, train_ce,
                        train_codim, train_cssl)
 
 
 def _build_id() -> str:
+    import subprocess  # only the manifest needs it: keep it off the import path
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              capture_output=True, text=True, timeout=5,
@@ -67,12 +69,12 @@ def cmd_gen(args) -> int:
     header = (["index"] + [f"x{i}" for i in range(ds.dim)]
               + ["clean_label", "noisy_label", "flip"])
     write_csv(os.path.join(out_dir, "train.csv"), header,
-              [[i, *ds.x[i].tolist(), ds.clean_labels[i],
-                ds.noisy_labels[i], int(ds.flip_mask[i])] for i in range(ds.n)])
+              ([i, *ds.x[i].tolist(), ds.clean_labels[i],
+                ds.noisy_labels[i], int(ds.flip_mask[i])] for i in range(ds.n)))
     write_csv(os.path.join(out_dir, "test.csv"),
               ["index"] + [f"x{i}" for i in range(ds.dim)] + ["label"],
-              [[i, *ds.test_x[i].tolist(), ds.test_labels[i]]
-               for i in range(len(ds.test_labels))])
+              ([i, *ds.test_x[i].tolist(), ds.test_labels[i]]
+               for i in range(len(ds.test_labels))))
     print(f"wrote {ds.n} train / {len(ds.test_labels)} test samples to {out_dir}")
     return 0
 
@@ -86,7 +88,7 @@ def cmd_pretrain(args) -> int:
     losses = pretrain_selfcon(ds, model, cfg)
     save_checkpoint(os.path.join(out_dir, "pretrain.ckpt"), model.state_dict())
     write_csv(os.path.join(out_dir, "pretrain_loss.csv"), ["step", "loss"],
-              [[i, repr(v)] for i, v in enumerate(losses)])
+              ([i, repr(v)] for i, v in enumerate(losses)))
     final = losses[-1] if losses else float("nan")
     print(f"pre-trained {cfg.pretrain_steps} steps, final loss {final:.4f}; "
           f"checkpoint in {out_dir}")
@@ -142,35 +144,48 @@ def cmd_cssl(args) -> int:
     return 0
 
 
-def _read_csv(path, what: str) -> list[list[str]]:
-    """The non-blank rows of a CSV input; a missing or non-text file is a
-    ConfigError (exit 2)."""
+def _csv_rows(path, what: str):
+    """Stream the non-blank rows of a CSV input; a missing or non-text file is
+    a ConfigError (exit 2)."""
     if not os.path.exists(path):
         raise ConfigError(f"{what} not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return [row for row in csv.reader(fh) if row]
+            yield from filter(None, csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{path} is not a CSV text file: {exc}") from exc
 
 
-def cmd_partition(args) -> int:
-    rows = _read_csv(args.losses_csv, "losses file")
+def _read_losses(path) -> np.ndarray:
+    """The last cell of every non-blank row as float64, streamed into the
+    array without holding the rows; a first row whose last cell is not a
+    number is a header. A cell that is not a number is a ConfigError."""
+    rows = _csv_rows(path, "losses file")
+    first = next(rows, [])
     try:
-        float(rows[0][-1])
+        head = [float(first[-1])]
     except (IndexError, ValueError):
-        rows = rows[1:]  # a header row, or no rows
+        head = []  # a header row, or no rows
     try:
-        losses = np.array([float(r[-1]) for r in rows])
+        return np.fromiter(
+            itertools.chain(head, map(float, map(operator.itemgetter(-1), rows))),
+            dtype=np.float64)
+    except ConfigError:
+        raise  # the file is not CSV text
     except ValueError as exc:
-        raise ConfigError(f"bad loss value in {args.losses_csv}: {exc}") from exc
+        raise ConfigError(f"bad loss value in {path}: {exc}") from exc
+
+
+def cmd_partition(args) -> int:
+    check_threshold(args.threshold)
+    losses = _read_losses(args.losses_csv)
     if len(losses) == 0 or not np.isfinite(losses).all():
         raise ConfigError(f"{args.losses_csv} needs one or more losses, all finite")
     part = partition_losses(losses, args.threshold)
     out = args.out or (os.path.splitext(args.losses_csv)[0] + "_partition.csv")
+    is_clean = (part.clean_prob >= args.threshold).astype(np.int8)
     write_csv(out, ["index", "clean_prob", "is_clean"],
-              [[i, p, int(p >= args.threshold)]
-               for i, p in enumerate(part.clean_prob.tolist())])
+              zip(range(len(losses)), part.clean_prob.tolist(), is_clean.tolist()))
     g = part.gmm
     fit = ("" if g is None else f"components: means={g.means.round(4).tolist()} "
            f"weights={g.weights.round(4).tolist()}; ")
@@ -181,7 +196,7 @@ def cmd_partition(args) -> int:
 
 def cmd_report(args) -> int:
     metrics_path = os.path.join(args.run_dir, "metrics.csv")
-    rows = _read_csv(metrics_path, "metrics.csv")
+    rows = list(_csv_rows(metrics_path, "metrics.csv"))
     if not rows or rows[0] != RUN_RECORD_HEADER:
         raise ConfigError(f"unexpected metrics header in {metrics_path}")
     try:

@@ -156,9 +156,9 @@ def _write_svg(path, width: int, height: int, body: list[str]):
 
 
 def write_csv(path, header: list[str], rows):
-    """RFC-4180 CSV with a fixed header row."""
+    """RFC-4180 CSV with a fixed header row; ``rows`` is any iterable of rows,
+    consumed once, so a generator or ``zip`` writes without a list of rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -122,12 +122,21 @@ class GmmParams:
     ll_history: list[float] = field(default_factory=list)
 
 
-def _densities(values, weights, means, variances):
-    """Per-component weighted densities and their totals floored at 1e-300."""
-    dens = np.stack([w * (np.exp(-0.5 * (values - mu) ** 2 / var)
-                          / np.sqrt(2.0 * np.pi * var))
-                     for w, mu, var in zip(weights, means, variances)])
-    return dens, np.maximum(dens.sum(axis=0), 1e-300)
+def _densities(values, weights, means, variances, dens=None, totals=None):
+    """Per-component weighted densities, shape (2, n), and their totals floored
+    at 1e-300; written in place into ``dens`` and ``totals`` when given."""
+    if dens is None:
+        dens, totals = np.empty((2, len(values))), np.empty(len(values))
+    np.subtract(values, means[:, None], out=dens)
+    np.square(dens, out=dens)
+    np.multiply(dens, -0.5, out=dens)
+    np.divide(dens, variances[:, None], out=dens)
+    np.exp(dens, out=dens)
+    np.divide(dens, np.sqrt(2.0 * np.pi * variances)[:, None], out=dens)
+    np.multiply(dens, weights[:, None], out=dens)
+    np.add(dens[0], dens[1], out=totals)
+    np.maximum(totals, 1e-300, out=totals)
+    return dens, totals
 
 
 def fit_gmm_1d(values: np.ndarray) -> GmmParams:
@@ -156,22 +165,26 @@ def fit_gmm_1d(values: np.ndarray) -> GmmParams:
     means = np.array([low.mean(), high.mean()])
     variances = np.maximum(np.array([low.var(), high.var()]), var_floor)
 
+    # EM in three preallocated buffers: resp holds the densities, then the
+    # responsibilities; tmp the weighted values and squared deviations. Each
+    # step keeps the operation order of the fresh-array form, so the fit is
+    # bit-identical to it (tests/test_noise.py keeps that form as the oracle).
+    resp, tmp, totals = np.empty((2, n)), np.empty((2, n)), np.empty(n)
     ll_history = []
     prev_ll = -np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        dens, totals = _densities(values, weights, means, variances)
-        ll = float(np.log(totals).sum())
+        _densities(values, weights, means, variances, resp, totals)
+        ll = float(np.log(totals, out=tmp[0]).sum())
         ll_history.append(ll)
-        resp = dens / totals
+        np.divide(resp, totals, out=resp)
         counts = resp.sum(axis=1)
         weights = counts / n
-        means = (resp * values).sum(axis=1) / np.maximum(counts, 1e-300)
-        variances = np.maximum(
-            (resp * (values - means[:, None]) ** 2).sum(axis=1)
-            / np.maximum(counts, 1e-300),
-            var_floor,
-        )
+        means = np.multiply(resp, values, out=tmp).sum(axis=1) / np.maximum(counts, 1e-300)
+        np.subtract(values, means[:, None], out=tmp)
+        np.square(tmp, out=tmp)
+        np.multiply(resp, tmp, out=tmp)
+        variances = np.maximum(tmp.sum(axis=1) / np.maximum(counts, 1e-300), var_floor)
         if abs(ll - prev_ll) < tol:
             break
         prev_ll = ll
@@ -180,6 +193,12 @@ def fit_gmm_1d(values: np.ndarray) -> GmmParams:
     return GmmParams(weights=weights[order], means=means[order],
                      variances=variances[order], iterations=iterations,
                      log_likelihood=ll_history[-1], ll_history=ll_history)
+
+
+def check_threshold(threshold: float):
+    """Raise ``ParameterError`` unless ``threshold`` is in [0, 1] (not NaN)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ParameterError(f"threshold = {threshold} is outside [0, 1]")
 
 
 @dataclass
@@ -197,8 +216,7 @@ class Partition:
     def split(cls, clean_prob: np.ndarray, threshold: float, gmm: GmmParams | None = None,
               fallback: str | None = None) -> "Partition":
         """Clean = ``clean_prob >= threshold``, for a threshold in [0, 1]."""
-        if not 0.0 <= threshold <= 1.0:
-            raise ParameterError(f"threshold = {threshold} is outside [0, 1]")
+        check_threshold(threshold)
         is_clean = clean_prob >= threshold
         return cls(clean_prob, np.flatnonzero(is_clean), np.flatnonzero(~is_clean),
                    threshold, gmm, fallback)

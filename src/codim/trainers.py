@@ -114,8 +114,8 @@ class RunRecord:
     def to_csv(self, path):
         from .metrics import write_csv
         write_csv(path, RUN_RECORD_HEADER,
-                  [[r.epoch, *(repr(getattr(r, k)) for k in RUN_RECORD_HEADER[1:])]
-                   for r in self.rows])
+                  ([r.epoch, *(repr(getattr(r, k)) for k in RUN_RECORD_HEADER[1:])]
+                   for r in self.rows))
 
 
 def _rng(*entropy) -> np.random.Generator:

@@ -1,10 +1,15 @@
 """Config parsing and the CLI subcommands, including exit codes and
 run-directory artifacts."""
 
+import csv
 import hashlib
+import io
 import os
+import pathlib
 import struct
 import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -18,7 +23,7 @@ from codim.contrastive import AugmentSpec
 from codim.data import BlobSpec, gen_blobs
 from codim.errors import ConfigError
 from codim.mixmatch import SslHyper
-from codim.noise import NoiseSpec
+from codim.noise import NoiseSpec, partition_losses
 from codim.trainers import RUN_RECORD_HEADER, TrainConfig
 
 
@@ -176,6 +181,17 @@ def test_cli_manifest_build_ignores_the_working_directory_repo(tmp_path, monkeyp
     assert build.startswith("build = ") and build != f"build = {foreign}\n"
 
 
+def test_importing_the_cli_leaves_subprocess_out():
+    """Only the manifest's build id needs ``subprocess``, so importing the
+    CLI does not pay for it."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, codim.cli; print('subprocess' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_pretrain_then_train_with_checkpoint(tmp_path, capsys):
     cfg, out_dir = write_config(tmp_path)
     assert main(["pretrain", cfg]) == 0
@@ -270,6 +286,85 @@ def test_cli_partition_non_finite_loss_exits_2(tmp_path, capsys, bad):
     assert main(["partition", str(path)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "losses_partition.csv").exists()
+
+
+@pytest.mark.parametrize("cell, named", [(b"abc", "bad loss value"), (b"", "bad loss value"),
+                                         (b"inf", "finite"), (b"\xff", "not a CSV text file")],
+                         ids=["word", "empty", "inf", "not-utf8"])
+def test_cli_partition_bad_last_row_exits_2_and_writes_nothing(tmp_path, capsys, cell,
+                                                               named):
+    path = tmp_path / "losses.csv"
+    path.write_bytes(b"".join(b"%d,%r\n" % (i, 0.1 if i % 3 else 0.9) for i in range(60))
+                     + b"60," + cell + b"\n")
+    assert main(["partition", str(path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "losses_partition.csv").exists()
+
+
+def _list_based_partition_csv(path, threshold=0.5) -> bytes:
+    """``partition.csv`` as `codim partition` wrote it when it held the input
+    rows and the output rows as lists: the oracle for the streaming path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    try:
+        float(rows[0][-1])
+    except (IndexError, ValueError):
+        rows = rows[1:]
+    part = partition_losses(np.array([float(r[-1]) for r in rows]), threshold)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["index", "clean_prob", "is_clean"])
+    for row in [[i, p, int(p >= threshold)] for i, p in enumerate(part.clean_prob.tolist())]:
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+def _mixture() -> list[float]:
+    rng = np.random.Generator(np.random.PCG64(7))
+    return rng.permutation(np.concatenate([rng.normal(0.1, 0.05, 90),
+                                           rng.normal(0.9, 0.1, 40)])).tolist()
+
+
+_MIXTURE = _mixture()
+
+
+@pytest.mark.parametrize("text", [
+    "index,loss\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(_MIXTURE)),
+    "".join(f"{i},{v!r}\n" for i, v in enumerate(_MIXTURE)),
+    "\n\nindex,loss\r\n" + "".join(f"{i},{v!r}\r\n" + "\n" * (i % 3 == 0)
+                                    for i, v in enumerate(_MIXTURE)) + "\n\n",
+    '"name, tag","loss"\n' + "".join(f'"row {i}, ""x""",{v!r}\n' if i % 2 else
+                                      f'row {i},"{v!r}"\n' for i, v in enumerate(_MIXTURE)),
+    "loss\n" + "".join(f"{v!r}\n" for v in _MIXTURE),
+    "".join(f"{v:.3e}\n" for v in _MIXTURE),
+], ids=["header", "no-header", "blank-lines-crlf", "quoted", "one-column",
+        "one-column-no-header"])
+@pytest.mark.parametrize("threshold", ["0.5", "0.9"])
+def test_cli_partition_csv_equals_the_list_based_writer(tmp_path, text, threshold):
+    path = tmp_path / "losses.csv"
+    path.write_bytes(text.encode())
+    assert main(["partition", str(path), "--threshold", threshold]) == 0
+    assert ((tmp_path / "losses_partition.csv").read_bytes()
+            == _list_based_partition_csv(path, float(threshold)))
+
+
+def test_cli_partition_memory_is_a_few_floats_per_row(tmp_path, capsys):
+    """The input streams into one float array and the output streams out:
+    the list-based reader and writer peaked at about 410 bytes a row."""
+    n = 50_000
+    rng = np.random.Generator(np.random.PCG64(11))
+    losses = np.where(rng.random(n) < 0.4, rng.beta(5.0, 2.0, n), rng.exponential(0.05, n))
+    path = tmp_path / "losses.csv"
+    path.write_text("".join(f"{i},{v!r}\n" for i, v in enumerate(losses.tolist())))
+    del losses
+    tracemalloc.start()
+    try:
+        assert main(["partition", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"/{n} clean" in capsys.readouterr().out
+    assert peak / n < 160, f"{peak / n:.0f} bytes per row"
 
 
 def test_cli_csv_cells_are_plain_numbers(tmp_path):
@@ -489,6 +584,9 @@ def test_cli_partition_threshold_out_of_range_exits_2(tmp_path, capsys, threshol
     assert main(["partition", str(path), "--threshold", threshold]) == 2
     assert "threshold" in capsys.readouterr().err
     assert not (tmp_path / "losses_partition.csv").exists()
+    # checked before the file is read: a missing file reports the threshold
+    assert main(["partition", str(tmp_path / "missing.csv"), "--threshold", threshold]) == 2
+    assert "is outside [0, 1]" in capsys.readouterr().err
 
 
 def test_cli_gmm_threshold_out_of_range_exits_2(tmp_path, capsys):

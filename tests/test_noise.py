@@ -120,17 +120,75 @@ def test_gmm_recovers_known_generator():
     assert g.means[0] < g.means[1]  # sorted components
 
 
-def test_gmm_log_likelihood_monotone_on_100_random_datasets():
+def _em_datasets():
+    """100 random two-component datasets of 60 to 600 values."""
     for case in range(100):
         rng = rng_for(0xD4, case)
         n = int(rng.integers(30, 300))
-        values = np.concatenate([
+        yield case, np.concatenate([
             rng.normal(rng.uniform(-2, 0), rng.uniform(0.05, 1.0), n),
             rng.normal(rng.uniform(0.5, 3), rng.uniform(0.05, 1.0), n),
         ])
+
+
+def test_gmm_log_likelihood_monotone_on_100_random_datasets():
+    for case, values in _em_datasets():
         g = fit_gmm_1d(values)
         diffs = np.diff(np.asarray(g.ll_history))
         assert (diffs >= -1e-8).all(), f"case {case}: EM decreased the log-likelihood"
+
+
+def _reference_em(values):
+    """``fit_gmm_1d`` with fresh arrays at every step, and the posterior of the
+    low-mean component: the oracle for the in-place EM."""
+    max_iter, tol, var_floor = 100, 1e-6, 1e-6
+    n = len(values)
+    med = np.median(values)
+    low, high = values[values <= med], values[values > med]
+    if len(high) == 0:
+        order = np.argsort(values)
+        low, high = values[order[: n // 2]], values[order[n // 2:]]
+    weights = np.array([len(low) / n, len(high) / n])
+    means = np.array([low.mean(), high.mean()])
+    variances = np.maximum(np.array([low.var(), high.var()]), var_floor)
+
+    def densities(w, mu, var):
+        dens = np.stack([wk * (np.exp(-0.5 * (values - mk) ** 2 / vk)
+                               / np.sqrt(2.0 * np.pi * vk))
+                         for wk, mk, vk in zip(w, mu, var)])
+        return dens, np.maximum(dens.sum(axis=0), 1e-300)
+
+    ll_history, prev_ll = [], -np.inf
+    for iterations in range(1, max_iter + 1):
+        dens, totals = densities(weights, means, variances)
+        ll = float(np.log(totals).sum())
+        ll_history.append(ll)
+        resp = dens / totals
+        counts = resp.sum(axis=1)
+        weights = counts / n
+        means = (resp * values).sum(axis=1) / np.maximum(counts, 1e-300)
+        variances = np.maximum((resp * (values - means[:, None]) ** 2).sum(axis=1)
+                               / np.maximum(counts, 1e-300), var_floor)
+        if abs(ll - prev_ll) < tol:
+            break
+        prev_ll = ll
+    order = np.argsort(means)
+    params = weights[order], means[order], variances[order]
+    dens, totals = densities(*params)
+    return (*params, iterations, ll_history), dens[0] / totals
+
+
+def test_gmm_equals_reference_em_bit_for_bit():
+    ties = np.concatenate([np.linspace(0.0, 0.5, 15), np.full(25, 1.0)])
+    assert not (ties > np.median(ties)).any()  # the split-by-rank branch
+    for case, values in [*_em_datasets(), ("ties at the median", ties)]:
+        g = fit_gmm_1d(values)
+        fit, posterior = _reference_em(values)
+        got = (g.weights, g.means, g.variances, g.iterations, g.ll_history)
+        for name, a, b in zip(("weights", "means", "variances", "iterations",
+                               "ll_history"), got, fit):
+            assert np.array_equal(a, b), f"case {case}: {name} {a} != {b}"
+        assert np.array_equal(make_partition(g, values, 0.5).clean_prob, posterior), case
 
 
 def test_gmm_degenerate_inputs():

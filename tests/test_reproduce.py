@@ -2,7 +2,10 @@
 protocols run in the acceptance fixtures."""
 
 import csv
+import pathlib
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -46,3 +49,16 @@ def test_main_usage_error_exits_2(monkeypatch, argv):
     with pytest.raises(SystemExit) as exc:
         reproduce.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user-set"])
+def test_import_pins_blas_to_one_thread_unless_the_caller_set_it(preset):
+    """Run in a clean environment: each BLAS thread variable reads 1 once the
+    script is imported, except one the caller set, which is kept."""
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    code = ("import os, reproduce; print(*(os.environ[v] for v in "
+            "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         cwd=pathlib.Path(reproduce.__file__).parent,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [preset or "1", "1", "1"]
