@@ -183,7 +183,8 @@ def cmd_partition(args) -> int:
         raise ConfigError(f"{args.losses_csv} needs one or more losses, all finite")
     part = partition_losses(losses, args.threshold)
     out = args.out or (os.path.splitext(args.losses_csv)[0] + "_partition.csv")
-    is_clean = (part.clean_prob >= args.threshold).astype(np.int8)
+    is_clean = np.zeros(len(losses), dtype=np.int8)
+    is_clean[part.clean_idx] = 1
     write_csv(out, ["index", "clean_prob", "is_clean"],
               zip(range(len(losses)), part.clean_prob.tolist(), is_clean.tolist()))
     g = part.gmm

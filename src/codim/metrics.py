@@ -13,9 +13,10 @@ from .errors import DegenerateInputError, ParameterError
 from .models import ModelTriple
 
 
-def test_accuracy(predict_proba, test_x: np.ndarray, test_labels: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions."""
-    preds = np.argmax(predict_proba(test_x), axis=1)
+def test_accuracy(proba: np.ndarray, test_labels: np.ndarray) -> float:
+    """Fraction of rows of the ``(n, C)`` probabilities ``proba`` whose argmax
+    is the row's label."""
+    preds = np.argmax(proba, axis=1)
     return float(np.mean(preds == np.asarray(test_labels)))
 
 

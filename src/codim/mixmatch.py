@@ -12,7 +12,7 @@ import numpy as np
 from . import tensor as T
 from .contrastive import AugmentSpec, augment
 from .errors import DegenerateInputError, ParameterError
-from .models import DuoModel, ModelTriple
+from .models import ModelTriple
 from .tensor import Tensor
 
 
@@ -69,13 +69,13 @@ def mean_weak_proba(nets: tuple[ModelTriple, ...], x: np.ndarray, spec: AugmentS
     return acc
 
 
-def guess_labels(duo: DuoModel, u: np.ndarray, spec: AugmentSpec,
+def guess_labels(nets: tuple[ModelTriple, ...], u: np.ndarray, spec: AugmentSpec,
                  hyper: SslHyper, rng: np.random.Generator) -> np.ndarray:
-    """Co-guessing: average both nets' softmax over weak views, then sharpen."""
+    """Co-guessing: average every net's softmax over weak views, then sharpen."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape[0] < 1:
         raise DegenerateInputError("guess_labels: empty batch")
-    return sharpen(mean_weak_proba(duo.nets, u, spec, hyper.num_augs, rng),
+    return sharpen(mean_weak_proba(nets, u, spec, hyper.num_augs, rng),
                    hyper.sharpen_t)
 
 

@@ -169,16 +169,14 @@ def _ce_epoch(forward, opt: SGD, x: np.ndarray, targets: np.ndarray,
         _step(opt, T.softmax_cross_entropy(forward(x[idx]), targets[idx]))
 
 
-def warmup(dataset: Dataset, duo: DuoModel, warmup_epochs: int,
-           cfg: TrainConfig) -> DuoModel:
+def warmup(dataset: Dataset, duo: DuoModel, cfg: TrainConfig):
     """Plain CE on all noisy labels for both networks, independent shuffles."""
     targets = one_hot(dataset.noisy_labels, dataset.num_classes)
     for j, net in enumerate(duo.nets):
         rng = _rng(cfg.seed, 0xB2, j)
         opt = cfg.sgd(net.params())
-        for _ in range(warmup_epochs):
+        for _ in range(cfg.warmup_epochs):
             _ce_epoch(net.forward_logits, opt, dataset.x, targets, cfg.batch_size, rng)
-    return duo
 
 
 def label_correction(dataset: Dataset, m: ModelTriple, cfg: TrainConfig) -> Dataset:
@@ -214,16 +212,16 @@ def _contrastive_terms(net: ModelTriple, cfg: TrainConfig, mode: str, x_lab: np.
     return terms
 
 
-def _mixmatch_step(net: ModelTriple, guesser: DuoModel, opt: SGD, cfg: TrainConfig,
-                   mode: str, x_lab: np.ndarray, labels: np.ndarray,
+def _mixmatch_step(net: ModelTriple, guessers: tuple[ModelTriple, ...], opt: SGD,
+                   cfg: TrainConfig, mode: str, x_lab: np.ndarray, labels: np.ndarray,
                    targets: np.ndarray, x_unl: np.ndarray, epoch: int,
                    rng: np.random.Generator):
-    """One semi-supervised SGD step on ``net``: ``guesser`` co-guesses the
+    """One semi-supervised SGD step on ``net``: ``guessers`` co-guess the
     unlabeled rows' labels, both sides are strong-augmented and MixUp-ed
     (labeled rows with their ``targets``), and each weighted contrastive term
     of ``mode`` is added in turn. Returns the values of Lx, Lu, Lreg and Lcl."""
     if len(x_unl) > 0:
-        guessed = guess_labels(guesser, x_unl, cfg.aug, cfg.ssl, rng)
+        guessed = guess_labels(guessers, x_unl, cfg.aug, cfg.ssl, rng)
         x_unl_s = augment(x_unl, cfg.aug, "strong", rng)
     else:
         x_unl_s, guessed = x_unl, np.zeros((0, targets.shape[1]))
@@ -237,6 +235,32 @@ def _mixmatch_step(net: ModelTriple, guesser: DuoModel, opt: SGD, cfg: TrainConf
         total = total + T.scale(term, weight)
     _step(opt, total)
     return lx.item(), lu.item(), lreg.item(), sum((t.item() for _, t in terms), 0.0)
+
+
+def _run_epoch(nets: tuple[ModelTriple, ...], opts: list[SGD], dataset: Dataset,
+               cfg: TrainConfig, epoch: int, step, partition_auc: float = 0.5) -> EpochMetrics:
+    """One epoch of every trainer. Sets each optimizer's lr, then for each
+    iteration ``it`` and net ``j`` calls ``step(epoch, it, j)``, which takes
+    one SGD step and returns its (Lx, Lu, Lreg, Lcl) values, or None when it
+    skipped the step. The row holds the loss terms' means over the steps
+    taken, the test accuracy of the first net, of the last and of their mean
+    softmax, and the first net's consistency."""
+    for opt in opts:
+        opt.lr = cfg.lr_at(epoch)
+    sums, steps = [0.0] * 4, 0
+    for it in range(cfg.iters_per_epoch):
+        for j in range(len(nets)):
+            losses = step(epoch, it, j)
+            if losses is not None:
+                sums = [s + v for s, v in zip(sums, losses)]
+                steps += 1
+    # each net predicts test_x once; the ensemble is the mean of the arrays
+    probs = [net.predict_proba(dataset.test_x) for net in nets]
+    accs = [test_accuracy(p, dataset.test_labels)
+            for p in (probs[0], probs[-1], sum(probs) / len(probs))]
+    return EpochMetrics(epoch, *(s / max(steps, 1) for s in sums), *accs,
+                        partition_auc=partition_auc,
+                        consistency=_consistency(nets[0], dataset, cfg, epoch))
 
 
 class CodimTrainer:
@@ -264,66 +288,51 @@ class CodimTrainer:
             self.pretrain_losses = pretrain_selfcon(self.dataset, self.base, cfg)
         self.duo = DuoModel.from_pretrained(self.base, seed_a=cfg.seed + 101,
                                             seed_b=cfg.seed + 202)
-        warmup(self.dataset, self.duo, cfg.warmup_epochs, cfg)
+        warmup(self.dataset, self.duo, cfg)
         if cfg.label_correction:
             self.dataset = label_correction(self.dataset, self.base, cfg)
         # SGD skips a parameter with no gradient, so bare mode's projector stays put
         self.opts = [cfg.sgd(net.params()) for net in self.duo.nets]
-        self.post_warmup_consistency = self.measure_consistency(0xFFFF)
+        self.post_warmup_consistency = _consistency(self.duo.net_a, self.dataset, cfg, 0xFFFF)
 
     def epoch(self, epoch: int) -> EpochMetrics:
-        cfg, data = self.cfg, self.dataset
-        for opt in self.opts:
-            opt.lr = cfg.lr_at(epoch)
+        cfg, data, nets = self.cfg, self.dataset, self.duo.nets
         # co-divide: each net's partition comes from the peer's losses
         partitions = [partition_by_losses(peer, data.x, data.noisy_labels,
                                           cfg.gmm_threshold)
                       for peer in (self.duo.net_b, self.duo.net_a)]
-        sums, steps = [0.0] * 4, 0
-        for it in range(cfg.iters_per_epoch):
-            for j, (net, opt, part) in enumerate(zip(self.duo.nets, self.opts,
-                                                     partitions)):
-                rng = _rng(cfg.seed, 0xD4, epoch, it, j)
-                lab_idx = _draw(rng, part.clean_idx, cfg.batch_size)
-                unl_idx = _draw(rng, part.noisy_idx, cfg.batch_size)
-                if len(lab_idx) < 2:
-                    continue
-                x_lab, x_unl = data.x[lab_idx], data.x[unl_idx]
-                noisy_lab = data.noisy_labels[lab_idx]
-                # weak views answer label queries, strong views carry gradients
-                own_pred = mean_weak_proba((net,), x_lab, cfg.aug, cfg.ssl.num_augs, rng)
-                refined = co_refine(part.clean_prob[lab_idx],
-                                    one_hot(noisy_lab, data.num_classes),
-                                    own_pred, cfg.ssl.sharpen_t)
-                losses = _mixmatch_step(net, self.duo, opt, cfg, cfg.mode, x_lab,
-                                        noisy_lab, refined, x_unl, epoch, rng)
-                sums = [s + v for s, v in zip(sums, losses)]
-                steps += 1
         if data.flip_mask.any() and not data.flip_mask.all():
             auc = float(np.mean([auc_score(p.clean_prob, ~data.flip_mask)
                                  for p in partitions]))
         else:
             auc = 0.5  # no planted noise to score against
-        # each net predicts once; the ensemble is the mean of the two arrays
-        pa, pb = (net.predict_proba(data.test_x) for net in self.duo.nets)
-        accs = [test_accuracy(lambda _, p=p: p, data.test_x, data.test_labels)
-                for p in (pa, pb, 0.5 * (pa + pb))]
-        return EpochMetrics(epoch, *(s / max(steps, 1) for s in sums), *accs,
-                            partition_auc=auc,
-                            consistency=self.measure_consistency(epoch))
 
-    def measure_consistency(self, tag: int) -> float:
-        return _consistency(self.duo.net_a, self.dataset, self.cfg, tag)
+        def step(epoch, it, j):
+            net, part = nets[j], partitions[j]
+            rng = _rng(cfg.seed, 0xD4, epoch, it, j)
+            lab_idx = _draw(rng, part.clean_idx, cfg.batch_size)
+            unl_idx = _draw(rng, part.noisy_idx, cfg.batch_size)
+            if len(lab_idx) < 2:
+                return None
+            x_lab, x_unl = data.x[lab_idx], data.x[unl_idx]
+            noisy_lab = data.noisy_labels[lab_idx]
+            # weak views answer label queries, strong views carry gradients
+            own_pred = mean_weak_proba((net,), x_lab, cfg.aug, cfg.ssl.num_augs, rng)
+            refined = co_refine(part.clean_prob[lab_idx],
+                                one_hot(noisy_lab, data.num_classes),
+                                own_pred, cfg.ssl.sharpen_t)
+            return _mixmatch_step(net, nets, self.opts[j], cfg, cfg.mode, x_lab, noisy_lab,
+                                  refined, x_unl, epoch, rng)
+
+        return _run_epoch(nets, self.opts, data, cfg, epoch, step, auc)
 
     def run(self) -> tuple[DuoModel, RunRecord]:
         self.prepare()
-        record = RunRecord()
-        for epoch in range(self.cfg.epochs):
-            record.rows.append(self.epoch(epoch))
+        record = RunRecord([self.epoch(epoch) for epoch in range(self.cfg.epochs)])
         # paired with post_warmup_consistency: same perturbation draws,
         # so the warmup-vs-trained comparison is not washed out by
         # estimator variance
-        self.final_consistency = self.measure_consistency(0xFFFF)
+        self.final_consistency = _consistency(self.duo.net_a, self.dataset, self.cfg, 0xFFFF)
         return self.duo, record
 
 
@@ -332,36 +341,21 @@ def train_codim(dataset: Dataset, cfg: TrainConfig,
     return CodimTrainer(dataset, cfg, pretrained_state=pretrained_state).run()
 
 
-def _train_solo(net: ModelTriple, dataset: Dataset, cfg: TrainConfig, step) -> RunRecord:
-    """Epoch loop of the one-network trainers: ``step(opt, epoch, it)`` takes
-    one SGD step and returns its (Lx, Lu, Lreg, Lcl) values."""
-    opt = cfg.sgd(net.params())
-    record = RunRecord()
-    for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr_at(epoch)
-        sums = [0.0] * 4
-        for it in range(cfg.iters_per_epoch):
-            sums = [s + v for s, v in zip(sums, step(opt, epoch, it))]
-        acc = test_accuracy(net.predict_proba, dataset.test_x, dataset.test_labels)
-        record.rows.append(EpochMetrics(
-            epoch, *(s / max(cfg.iters_per_epoch, 1) for s in sums), acc, acc, acc,
-            partition_auc=0.5, consistency=_consistency(net, dataset, cfg, epoch)))
-    return record
-
-
 def train_ce(dataset: Dataset, cfg: TrainConfig) -> tuple[ModelTriple, RunRecord]:
     """Cross-entropy baseline: one network, noisy labels, no pre-training."""
     net = ModelTriple(cfg.arch(dataset.dim, dataset.num_classes), seed=cfg.seed)
+    opt = cfg.sgd(net.params())
     rng = _rng(cfg.seed, 0xF6)
 
-    def step(opt, epoch, it):
+    def step(epoch, it, j):
         idx = _draw(rng, np.arange(dataset.n), cfg.batch_size)
         loss = T.softmax_cross_entropy(
             net.forward_logits(dataset.x[idx]),
             one_hot(dataset.noisy_labels[idx], dataset.num_classes))
         return _step(opt, loss), 0.0, 0.0, 0.0
 
-    return net, _train_solo(net, dataset, cfg, step)
+    return net, RunRecord([_run_epoch((net,), [opt], dataset, cfg, epoch, step)
+                           for epoch in range(cfg.epochs)])
 
 
 def train_cssl(dataset: Dataset, labeled_mask: np.ndarray,
@@ -370,22 +364,24 @@ def train_cssl(dataset: Dataset, labeled_mask: np.ndarray,
 
     One network; supervised contrastive loss on labeled batches, self
     contrastive loss on unlabeled batches, plus the semi-supervised
-    objective. ``lambda_sup == lambda_self == 0`` is the plain-SSL baseline.
+    objective, whose label guesses come from the network alone.
+    ``lambda_sup == lambda_self == 0`` is the plain-SSL baseline.
     """
     labeled_mask = np.asarray(labeled_mask, dtype=bool)
     net = ModelTriple(cfg.arch(dataset.dim, dataset.num_classes), seed=cfg.seed)
     pretrain_selfcon(dataset, net, cfg)
-    solo = DuoModel(net, net)  # co-guessing degenerates to single-net guessing
+    opt = cfg.sgd(net.params())
     lab_pool = np.flatnonzero(labeled_mask)
     unl_pool = np.flatnonzero(~labeled_mask)
 
-    def step(opt, epoch, it):
+    def step(epoch, it, j):
         rng = _rng(cfg.seed, 0x17, epoch, it)
         lab_idx = _draw(rng, lab_pool, cfg.batch_size)
         unl_idx = _draw(rng, unl_pool, cfg.batch_size)
         x_lab, x_unl = dataset.x[lab_idx], dataset.x[unl_idx]
         labels = dataset.noisy_labels[lab_idx]
-        return _mixmatch_step(net, solo, opt, cfg, "cssl", x_lab, labels,
+        return _mixmatch_step(net, (net,), opt, cfg, "cssl", x_lab, labels,
                               one_hot(labels, dataset.num_classes), x_unl, epoch, rng)
 
-    return net, _train_solo(net, dataset, cfg, step)
+    return net, RunRecord([_run_epoch((net,), [opt], dataset, cfg, epoch, step)
+                           for epoch in range(cfg.epochs)])

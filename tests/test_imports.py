@@ -1,14 +1,19 @@
 """Every name a module under src/codim, tests/ or scripts/ imports is used in
-that module, and every module-level private name a module under src/codim
-defines is referenced elsewhere in it."""
+that module, every module-level private name a module under src/codim
+defines is referenced elsewhere in it, and every codim name the benchmark
+under bench/ calls or expects to see traced still resolves."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "codim"
+BENCH = ROOT / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,3 +80,106 @@ def test_detects_dead_private_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_dead_private_names(path):
     assert dead_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def codim_attribute_chains(source: str) -> set[str]:
+    """Every ``module.attr[.attr...]`` chain read from a name bound to a codim
+    module, by ``from codim import m`` or by ``m = sys.modules["codim.m"]``."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> codim module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "codim":
+            modules.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.Assign):
+            targets, values = node.targets[0], node.value
+            pairs = (zip(targets.elts, values.elts)
+                     if isinstance(targets, ast.Tuple) and isinstance(values, ast.Tuple)
+                     else [(targets, values)])
+            for target, value in pairs:
+                key = value.slice if isinstance(value, ast.Subscript) else None
+                if (isinstance(target, ast.Name) and isinstance(key, ast.Constant)
+                        and str(key.value).startswith("codim.")):
+                    modules[target.id] = key.value.split(".", 1)[1]
+    chains = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in modules:
+            chains.add(".".join([modules[node.id], *reversed(attrs)]))
+    return chains
+
+
+def resolve(dotted: str):
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"codim.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_detects_codim_attribute_chains():
+    source = ("import sys\nfrom codim import data as d\n"
+              "t, m = sys.modules['codim.trainers'], sys.modules['codim.mixmatch']\n"
+              "d.BlobSpec(1).x; t.TrainConfig.epochs; m.semi_loss; other.attr\n")
+    assert codim_attribute_chains(source) == {
+        "data.BlobSpec", "trainers.TrainConfig", "trainers.TrainConfig.epochs",
+        "mixmatch.semi_loss"}
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "test_bench.py"])
+def test_benchmark_attribute_reads_resolve(name):
+    chains = codim_attribute_chains((BENCH / name).read_text(encoding="utf-8"))
+    assert chains
+    missing = []
+    for dotted in sorted(chains):
+        try:
+            resolve(dotted)
+        except AttributeError:
+            missing.append(dotted)
+    assert missing == []
+
+
+def traced_name_problems(dotted: str) -> list[str]:
+    """Why ``dotted`` would never show as a span: the benchmark's tracer
+    names a function by the module that defines it, and a method by its
+    class, so it must be a function defined there."""
+    module, *attrs = dotted.split(".")
+    owner = importlib.import_module(f"codim.{module}")
+    if len(attrs) == 2:
+        owner = getattr(owner, attrs[0], None)
+    member = vars(owner).get(attrs[-1]) if owner is not None else None
+    if not inspect.isfunction(member):
+        return [f"{dotted} is not a function"]
+    if len(attrs) == 1 and member.__module__ != owner.__name__:
+        return [f"{dotted} is defined in {member.__module__}"]
+    return []
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # layers imports its sibling tracing
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names = {*layers.STEP_PHASES, *layers.OBSERVERS}
+    for expect in layers.COVERAGE.values():
+        names.update(expect["fires"], expect["silent"])
+    assert [p for name in sorted(names) for p in traced_name_problems(name)] == []
+
+
+def test_benchmark_hooks_keep_their_shape():
+    """What the benchmark's own tests call: ``train_codim`` returns a duo
+    with ``net_a``, ``semi_loss`` is bound in the trainers' namespace for the
+    tracer to rebind, and the co-divide epoch is a method of its trainer."""
+    from codim import data, mixmatch, models, noise, trainers
+    assert trainers.semi_loss is mixmatch.semi_loss
+    assert inspect.isfunction(vars(trainers.CodimTrainer)["epoch"])
+    ds = data.gen_blobs(data.BlobSpec(3, 2, 40, 3.0, 1.0, seed=0)).with_noise(
+        noise.NoiseSpec("symmetric", 0.3, seed=1))
+    cfg = trainers.TrainConfig(pretrain_steps=2, warmup_epochs=1, epochs=1,
+                               iters_per_epoch=1, batch_size=16, feat_hidden=(8,),
+                               proj_hidden=4, proj_dim=2)
+    duo, record = trainers.train_codim(ds, cfg)
+    assert isinstance(duo, models.DuoModel) and len(record.rows) == 1
+    assert duo.net_a.state_dict()

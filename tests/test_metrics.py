@@ -43,7 +43,7 @@ def loop_rank_auc(scores, positives):
 
 def test_accuracy_oracle():
     probs = np.array([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4]])
-    acc = accuracy_of(lambda x: probs, np.zeros((3, 1)), np.array([0, 1, 1]))
+    acc = accuracy_of(probs, np.array([0, 1, 1]))
     assert acc == pytest.approx(2.0 / 3.0)
 
 

@@ -104,7 +104,7 @@ def test_guess_labels_matches_manual_loop():
     hyper = SslHyper(num_augs=3, sharpen_t=0.5)
     spec = AugmentSpec()
     u = rng_for(0xC3).normal(size=(6, 3))
-    got = guess_labels(duo, u, spec, hyper, rng_for(0xC4))
+    got = guess_labels(duo.nets, u, spec, hyper, rng_for(0xC4))
     # replicate: same rng stream drives the augmentations in order
     rng = rng_for(0xC4)
     acc = np.zeros((6, 3))
@@ -115,7 +115,7 @@ def test_guess_labels_matches_manual_loop():
     assert np.allclose(got, want, atol=1e-14)
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(DegenerateInputError):
-        guess_labels(duo, np.zeros((0, 3)), spec, hyper, rng)
+        guess_labels(duo.nets, np.zeros((0, 3)), spec, hyper, rng)
 
 
 @pytest.mark.parametrize("num_nets", [1, 2])

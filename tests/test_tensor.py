@@ -1,9 +1,9 @@
 """Autodiff core: value examples, finite-difference checks, graph semantics.
 
-Each fused op is one graph node with a hand-derived backward. Tests whose
-names still mention relu, exp/log, power, sum/mean, transpose, broadcast or
-log-sum-exp check that piece of math where it now lives, inside the fused
-op named in the test.
+Each fused op is one graph node with a hand-derived backward. The value
+tests check each piece of its math (relu, exp/log, power, sums, log-sum-exp,
+the bias broadcast) inside the fused op named in the test. The
+finite-difference case names stay as they are: each seeds its instances.
 """
 
 import gc
@@ -46,7 +46,7 @@ def np_softmax(x):
 
 # ---------------------------------------------------------------- values
 
-def test_add_mul_values():
+def test_add_and_scale_values():
     """add, and scale (multiplication by a constant)."""
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[10.0, 20.0], [30.0, 40.0]])
@@ -70,7 +70,7 @@ def test_matmul_transpose_values():
         T.matmul(a, b, bias=Tensor(np.ones(2)))
 
 
-def test_relu_exp_log_pow_values():
+def test_matmul_relu_softmax_cross_entropy_l2_normalize_values():
     """The relu of matmul, the exp/log of softmax_cross_entropy and the
     inverse square root of l2_normalize, against hand values."""
     x = Tensor([[1.0, -1.0]])
@@ -85,7 +85,7 @@ def test_relu_exp_log_pow_values():
     assert np.allclose(T.l2_normalize(Tensor([[3.0, 4.0]])).data, [[0.6, 0.8]])
 
 
-def test_sum_mean_values():
+def test_fused_losses_reduce_over_their_axes():
     """Each fused loss reduces over the axes it documents."""
     rng = rng_for(9)
     logits = rng.normal(size=(5, 4))
@@ -113,7 +113,7 @@ def test_gather_rows_values_and_duplicate_grad():
                                             [2.0] * 3, [0.0] * 3]))
 
 
-def test_logsumexp_rows_matches_numpy_and_is_stable():
+def test_softmax_cross_entropy_matches_numpy_and_is_stable():
     """softmax_cross_entropy's row-wise log-sum-exp: with one-hot targets the
     loss is mean(lse - target logit), and huge logits do not overflow."""
     rng = rng_for(1)
@@ -127,7 +127,7 @@ def test_logsumexp_rows_matches_numpy_and_is_stable():
     assert np.isclose(big.item(), np.log(2.0))
 
 
-def test_logsumexp_rows_masked():
+def test_info_nce_leaves_the_anchor_out():
     """info_nce's log-sum-exp leaves the anchor's own similarity out."""
     z = np.array([[3.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     keys = np.array([0, 0, 1])  # anchor 2 has no positive
@@ -137,7 +137,7 @@ def test_logsumexp_rows_masked():
     assert np.isclose(T.info_nce(Tensor(z), keys, 0.5).item(), want, atol=1e-12)
 
 
-def test_logsumexp_rows_empty_row_rejected():
+def test_info_nce_with_nothing_to_contrast_rejected():
     """An info_nce anchor row with no other view, or no anchor with a
     positive, has nothing to contrast against."""
     with pytest.raises(DegenerateInputError):
@@ -148,7 +148,7 @@ def test_logsumexp_rows_empty_row_rejected():
         T.info_nce(Tensor(np.eye(3)), np.array([0, 0]), 0.5)
 
 
-def test_softmax_rows_sums_to_one():
+def test_softmax_mse_is_zero_at_numpy_softmax():
     """softmax_mse's softmax is numpy's, stable under a per-row shift: its
     loss against numpy's softmax rows is 0 even for logits near 1000."""
     rng = rng_for(2)
@@ -250,7 +250,7 @@ def test_backward_leaves_no_garbage_cycle():
         gc.enable()
 
 
-def test_broadcast_add_unbroadcasts_gradient():
+def test_matmul_bias_gradient_sums_the_rows():
     """matmul adds its 1-D bias to every row; the bias gradient sums the
     rows back. A plain add of unequal shapes is an error."""
     a = leaf(rng_for(5), 4, 3)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from codim import trainers
 from codim.contrastive import make_view_batch, self_con_loss, sup_con_loss
 from codim.data import BlobSpec, gen_blobs
 from codim.errors import DegenerateInputError, ParameterError
 from codim.models import ModelTriple
-from codim.noise import NoiseSpec
+from codim.noise import NoiseSpec, Partition
 from codim.trainers import (RUN_RECORD_HEADER, CodimTrainer, TrainConfig,
                             _contrastive_terms, label_correction, pretrain_selfcon,
                             train_ce, train_codim, train_cssl, warmup)
@@ -26,9 +27,9 @@ def small_dataset(seed=0, noisy=True):
     return ds
 
 
-def mean_proba(duo):
+def mean_proba(duo, x):
     """The ensemble prediction: the mean of the two nets' softmax outputs."""
-    return lambda x: 0.5 * (duo.net_a.predict_proba(x) + duo.net_b.predict_proba(x))
+    return 0.5 * (duo.net_a.predict_proba(x) + duo.net_b.predict_proba(x))
 
 
 def small_config(**kw):
@@ -106,9 +107,9 @@ def test_warmup_improves_over_random_init():
     cfg = small_config(warmup_epochs=5)
     base = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=0)
     duo = DuoModel.from_pretrained(base, 1, 2)
-    before = accuracy_of(mean_proba(duo), ds.test_x, ds.test_labels)
-    warmup(ds, duo, 5, cfg)
-    after = accuracy_of(mean_proba(duo), ds.test_x, ds.test_labels)
+    before = accuracy_of(mean_proba(duo, ds.test_x), ds.test_labels)
+    warmup(ds, duo, cfg)
+    after = accuracy_of(mean_proba(duo, ds.test_x), ds.test_labels)
     assert after > max(before, 0.8)
 
 
@@ -232,10 +233,70 @@ def test_epoch_accuracies_match_test_accuracy():
     trainer.prepare()
     row = trainer.epoch(0)
     duo = trainer.duo
-    for got, predict in ((row.test_acc_a, duo.net_a.predict_proba),
-                         (row.test_acc_b, duo.net_b.predict_proba),
-                         (row.test_acc_ens, mean_proba(duo))):
-        assert got == accuracy_of(predict, ds.test_x, ds.test_labels)
+    for got, proba in ((row.test_acc_a, duo.net_a.predict_proba(ds.test_x)),
+                       (row.test_acc_b, duo.net_b.predict_proba(ds.test_x)),
+                       (row.test_acc_ens, mean_proba(duo, ds.test_x))):
+        assert got == accuracy_of(proba, ds.test_labels)
+
+
+@pytest.mark.parametrize("starved", [(0,), (0, 1)], ids=["net_a", "both"])
+def test_skipped_codivide_step_moves_nothing_and_is_not_averaged(monkeypatch, starved):
+    """A net whose partition has fewer than 2 clean rows takes no step and
+    keeps its weights; the row's loss terms are means over the steps taken."""
+    trainer = CodimTrainer(small_dataset(), small_config())
+    trainer.prepare()
+    nets = trainer.duo.nets
+    real_partition, real_step = trainers.partition_by_losses, trainers._mixmatch_step
+
+    def partition(peer, x, labels, threshold):
+        j = 0 if peer is nets[1] else 1  # the net that trains on this partition
+        if j not in starved:
+            return real_partition(peer, x, labels, threshold)
+        one_clean = np.zeros(len(x))
+        one_clean[0] = 1.0
+        return Partition.split(one_clean, threshold)
+
+    taken = []
+
+    def step(net, *args):
+        losses = real_step(net, *args)
+        taken.append((net, losses))
+        return losses
+
+    monkeypatch.setattr(trainers, "partition_by_losses", partition)
+    monkeypatch.setattr(trainers, "_mixmatch_step", step)
+    before = [net.state_dict() for net in nets]
+    row = trainer.epoch(0)
+    for j, net in enumerate(nets):
+        kept = all(np.array_equal(v, before[j][k]) for k, v in net.state_dict().items())
+        assert kept == (j in starved)
+    assert [net for net, _ in taken] == [nets[1]] * (trainer.cfg.iters_per_epoch
+                                                     * (2 - len(starved)))
+    want = ([sum(col) / len(taken) for col in zip(*(losses for _, losses in taken))]
+            if taken else [0.0] * 4)
+    assert [row.loss_x, row.loss_u, row.loss_reg, row.loss_cl] == want
+
+
+def test_cssl_guesses_labels_with_one_query_of_its_network(monkeypatch):
+    queried, guesses = [], []
+    real_predict, real_guess = ModelTriple.predict_proba, trainers.guess_labels
+
+    def predict(net, x):
+        queried.append(net)
+        return real_predict(net, x)
+
+    def guess(*args):
+        start = len(queried)
+        out = real_guess(*args)
+        guesses.append(queried[start:])
+        return out
+
+    monkeypatch.setattr(ModelTriple, "predict_proba", predict)
+    monkeypatch.setattr(trainers, "guess_labels", guess)
+    ds = small_dataset(noisy=False)
+    net, _ = train_cssl(ds, np.arange(ds.n) % 5 == 0,
+                        small_config(mode="cssl", pretrain_steps=0, epochs=1))
+    assert guesses == [[net]] * 3
 
 
 def test_train_ce_runs_and_is_deterministic():
