@@ -13,7 +13,6 @@ from . import tensor as T
 from .contrastive import AugmentSpec, augment
 from .errors import DegenerateInputError, ParameterError
 from .models import ModelTriple
-from .tensor import Tensor
 
 
 @dataclass
@@ -128,18 +127,7 @@ def build_semi_batch(x_lab: np.ndarray, p_lab: np.ndarray, x_unl: np.ndarray,
 
 
 def semi_loss(m: ModelTriple, batch: SemiBatch, hyper: SslHyper, epoch: float):
-    """Return (Lx, Lu, Lreg, total) tensors for one mixed batch."""
-    lab_idx = np.flatnonzero(batch.is_labeled)
-    unl_idx = np.flatnonzero(~batch.is_labeled)
-    if len(lab_idx) == 0:
-        raise DegenerateInputError("semi_loss: batch has no labeled rows")
-    logits = m.forward_logits(batch.mixed_x)
-    lx = T.softmax_cross_entropy(T.gather_rows(logits, lab_idx),
-                                 batch.mixed_targets[lab_idx])
-    if len(unl_idx) > 0:
-        lu = T.softmax_mse(T.gather_rows(logits, unl_idx), batch.mixed_targets[unl_idx])
-    else:
-        lu = Tensor(0.0)
-    lreg = T.uniform_kl(logits)
-    total = lx + T.scale(lu, hyper.ramped_lambda_u(epoch)) + T.scale(lreg, hyper.lambda_r)
-    return lx, lu, lreg, total
+    """Return the floats Lx, Lu, Lreg and the total loss's node for one mixed
+    batch, Lu weighted by the ramped lambda_u of ``epoch``."""
+    return T.mixmatch_loss(m.forward_logits(batch.mixed_x), batch.mixed_targets,
+                           batch.is_labeled, hyper.ramped_lambda_u(epoch), hyper.lambda_r)

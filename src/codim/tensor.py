@@ -5,7 +5,9 @@ covering exactly the MLP layers and losses used elsewhere in the package.
 Graphs are built eagerly; ``backward()`` runs a single reverse topological
 sweep. Gradients are allocated lazily and summed into fresh arrays, never
 written in place, so a buffer shared between two parents is safe and
-parameter sharing between heads works out of the box.
+parameter sharing between heads works out of the box. ``SGD`` updates each
+parameter in place through its velocity and one scratch array of its shape,
+so no step makes parameter-sized temporaries for the kernel to fault in anew.
 """
 
 from __future__ import annotations
@@ -81,12 +83,11 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad = g if t.grad is None else t.grad + g
 
 
-def _check_rows(name: str, logits: Tensor, targets: np.ndarray | None = None):
-    """A non-empty 2-D batch, with ``targets`` of the same shape if given."""
-    if logits.data.ndim != 2 or (targets is not None and logits.data.shape != targets.shape):
-        got = "" if targets is None else f" vs targets {targets.shape}"
-        raise DimensionError(f"{name}: logits {logits.shape}{got}")
-    if logits.data.shape[0] < 1:
+def _check_rows(name: str, logits: np.ndarray, targets: np.ndarray):
+    """A non-empty 2-D batch with ``targets`` of the same shape."""
+    if logits.ndim != 2 or logits.shape != targets.shape:
+        raise DimensionError(f"{name}: logits {logits.shape} vs targets {targets.shape}")
+    if logits.shape[0] < 1:
         raise DegenerateInputError(f"{name}: empty batch")
 
 
@@ -154,18 +155,19 @@ def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
     return Tensor(out_data, parents=parents, backward=backward)
 
 
-def gather_rows(a, idx) -> Tensor:
-    """Select rows of a 2-D tensor by index array."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def backward(g):
-        if a.requires_grad:
-            rows = np.zeros_like(a.data)
-            np.add.at(rows, idx, g)
-            _accumulate(a, rows)
-
-    return Tensor(a.data[idx], parents=(a,), backward=backward)
+def _cross_entropy(name: str, logits: np.ndarray, targets: np.ndarray):
+    """``softmax_cross_entropy`` on arrays: its value, and its gradient as a
+    function of the upstream gradient."""
+    _check_rows(name, logits, targets)
+    row_sums = targets.sum(axis=1, keepdims=True)
+    if np.any(np.abs(row_sums - 1.0) > 1e-6):
+        raise ContractError(f"{name}: target rows must sum to 1")
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    value = ((row_sums * np.log(s)).sum() - (targets * shifted).sum()) / n
+    return value, lambda g: (e / s * row_sums - targets) * (g / n)
 
 
 def softmax_cross_entropy(logits, targets) -> Tensor:
@@ -176,53 +178,57 @@ def softmax_cross_entropy(logits, targets) -> Tensor:
     """
     logits = _wrap(logits)
     targets = np.asarray(targets, dtype=np.float64)
-    _check_rows("softmax_cross_entropy", logits, targets)
-    row_sums = targets.sum(axis=1, keepdims=True)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        raise ContractError("softmax_cross_entropy: target rows must sum to 1")
-    n = logits.data.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e.sum(axis=1, keepdims=True)
-    out_data = ((row_sums * np.log(s)).sum() - (targets * shifted).sum()) / n
+    value, grad = _cross_entropy("softmax_cross_entropy", logits.data, targets)
 
     def backward(g):
-        _accumulate(logits, (e / s * row_sums - targets) * (g / n))
+        _accumulate(logits, grad(g))
 
-    return Tensor(out_data, parents=(logits,), backward=backward)
+    return Tensor(value, parents=(logits,), backward=backward)
 
 
-def softmax_mse(logits, targets) -> Tensor:
-    """Mean over all entries of (softmax(logits) - targets)^2, ``targets``
-    constant: MixMatch's unlabeled loss."""
+def mixmatch_loss(logits, targets, is_labeled, lambda_u: float, lambda_r: float):
+    """MixMatch's objective Lx + lambda_u Lu + lambda_r Lreg as one node, with
+    constant ``targets``: Lx the cross-entropy of the ``is_labeled`` rows
+    (whose targets must sum to 1), Lu the mean squared error of the other
+    rows' softmax (0 with none), Lreg = KL(uniform || mean softmax over all
+    rows), which keeps the mean prediction from collapsing onto few classes.
+    Returns the floats Lx, Lu, Lreg and the total's node."""
     logits = _wrap(logits)
     targets = np.asarray(targets, dtype=np.float64)
-    _check_rows("softmax_mse", logits, targets)
-    p = _softmax(logits.data)
-    diff = p - targets
-
-    def backward(g):
-        _accumulate(logits, _softmax_backward(p, diff * (2.0 * g / diff.size)))
-
-    return Tensor((diff * diff).mean(), parents=(logits,), backward=backward)
-
-
-def uniform_kl(logits) -> Tensor:
-    """KL(uniform || mean over rows of softmax(logits)): the regularizer that
-    keeps the batch's mean prediction from collapsing onto few classes."""
-    logits = _wrap(logits)
-    _check_rows("uniform_kl", logits)
+    lab = np.asarray(is_labeled, dtype=bool)
+    _check_rows("mixmatch_loss", logits.data, targets)
     n, c = logits.data.shape
+    if lab.shape != (n,):
+        raise DimensionError(f"mixmatch_loss: is_labeled {lab.shape} for {n} rows")
+    if not lab.any():
+        raise DegenerateInputError("mixmatch_loss: batch has no labeled rows")
+    unl = ~lab
+    lx, lx_grad = _cross_entropy("mixmatch_loss", logits.data[lab], targets[lab])
     p = _softmax(logits.data)
+    diff = p[unl] - targets[unl]
+    lu = (diff * diff).mean() if diff.size else 0.0
     mean_p = p.mean(axis=0)
     prior = 1.0 / c
+    lreg = (prior * (np.log(prior) - np.log(mean_p))).sum()
 
     def backward(g):
-        dp = np.broadcast_to(-g * prior / (n * mean_p), p.shape)
-        _accumulate(logits, _softmax_backward(p, dp))
+        # summed as the per-term nodes summed them: the regularizer's gradient,
+        # then the unlabeled rows' and the labeled rows' each scattered into
+        # zeros (0.0 + -0.0 is 0.0), so every bit, zero signs too, is theirs
+        grad = _softmax_backward(p, np.broadcast_to(-(g * lambda_r) * prior / (n * mean_p),
+                                                    p.shape))
+        row_grads = [(lab, lx_grad(g))]
+        if diff.size:
+            du = _softmax_backward(p[unl], diff * (2.0 * (g * lambda_u) / diff.size))
+            row_grads.insert(0, (unl, du))
+        for rows, row_grad in row_grads:
+            pad = np.zeros_like(grad)
+            pad[rows] += row_grad
+            grad += pad
+        _accumulate(logits, grad)
 
-    return Tensor((prior * (np.log(prior) - np.log(mean_p))).sum(),
-                  parents=(logits,), backward=backward)
+    total = Tensor(lx + lu * lambda_u + lreg * lambda_r, parents=(logits,), backward=backward)
+    return float(lx), float(lu), float(lreg), total
 
 
 def l2_normalize(v) -> Tensor:
@@ -306,6 +312,7 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self._scratch = {name: np.empty_like(p.data) for name, p in self.params.items()}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -315,8 +322,11 @@ class SGD:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad + self.weight_decay * p.data
-            v = self.velocity[name]
+            v, buf = self.velocity[name], self._scratch[name]
+            # v = momentum v + (grad + wd p); p -= lr v, in that order
+            np.multiply(p.data, self.weight_decay, out=buf)
+            buf += p.grad
             v *= self.momentum
-            v += g
-            p.data -= self.lr * v
+            v += buf
+            np.multiply(v, self.lr, out=buf)
+            p.data -= buf

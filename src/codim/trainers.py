@@ -234,7 +234,7 @@ def _mixmatch_step(net: ModelTriple, guessers: tuple[ModelTriple, ...], opt: SGD
     for weight, term in terms:
         total = total + T.scale(term, weight)
     _step(opt, total)
-    return lx.item(), lu.item(), lreg.item(), sum((t.item() for _, t in terms), 0.0)
+    return lx, lu, lreg, sum((t.item() for _, t in terms), 0.0)
 
 
 def _run_epoch(nets: tuple[ModelTriple, ...], opts: list[SGD], dataset: Dataset,

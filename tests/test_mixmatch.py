@@ -188,9 +188,9 @@ def test_semi_loss_matches_numpy_oracle():
                              4.0, rng)
     lx, lu, lreg, total = semi_loss(duo.net_a, batch, hyper, epoch=3.0)
     mx, mu, mreg, mtotal = manual_semi_loss(duo.net_a, batch, hyper, 3.0)
-    assert lx.item() == pytest.approx(mx, abs=1e-10)
-    assert lu.item() == pytest.approx(mu, abs=1e-10)
-    assert lreg.item() == pytest.approx(mreg, abs=1e-10)
+    assert lx == pytest.approx(mx, abs=1e-10)
+    assert lu == pytest.approx(mu, abs=1e-10)
+    assert lreg == pytest.approx(mreg, abs=1e-10)
     assert total.item() == pytest.approx(mtotal, abs=1e-10)
 
 

@@ -8,6 +8,7 @@ finite-difference case names stay as they are: each seeds its instances.
 
 import gc
 import re
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -94,23 +95,17 @@ def test_fused_losses_reduce_over_their_axes():
                for i in range(5)]
     assert np.isclose(T.softmax_cross_entropy(Tensor(logits), targets).item(),
                       np.mean(ce_rows), atol=1e-14)
+    lab = np.array([True, False, True, False, False])
+    lx, lu, lreg, total = T.mixmatch_loss(Tensor(logits), targets, lab, 3.0, 0.5)
+    assert np.isclose(lx, np.mean([ce_rows[0], ce_rows[2]]), atol=1e-14)
     p = np_softmax(logits)
-    assert np.isclose(T.softmax_mse(Tensor(logits), targets).item(),
-                      ((p - targets) ** 2).sum() / 20.0, atol=1e-15)
+    assert np.isclose(lu, ((p[~lab] - targets[~lab]) ** 2).sum() / 12.0, atol=1e-15)
     mean_p = p.mean(axis=0)
-    assert np.isclose(T.uniform_kl(Tensor(logits)).item(),
-                      (0.25 * np.log(0.25 / mean_p)).sum(), atol=1e-14)
-    assert T.uniform_kl(Tensor(np.zeros((3, 4)))).item() == 0.0
-
-
-def test_gather_rows_values_and_duplicate_grad():
-    a = leaf(rng_for(0), 4, 3)
-    out = T.gather_rows(a, [2, 0, 2])
-    assert np.array_equal(out.data, a.data[[2, 0, 2]])
-    T.matmul(T.matmul(Tensor(np.ones((1, 3))), out), Tensor(np.ones((3, 1)))).backward()
-    # row 2 selected twice -> gradient 2, row 1 never -> 0
-    assert np.array_equal(a.grad, np.array([[1.0] * 3, [0.0] * 3,
-                                            [2.0] * 3, [0.0] * 3]))
+    assert np.isclose(lreg, (0.25 * np.log(0.25 / mean_p)).sum(), atol=1e-14)
+    assert total.item() == lx + 3.0 * lu + 0.5 * lreg
+    uniform = T.mixmatch_loss(Tensor(np.zeros((3, 4))), np.full((3, 4), 0.25), lab[:3],
+                              1.0, 1.0)
+    assert uniform[2] == 0.0
 
 
 def test_softmax_cross_entropy_matches_numpy_and_is_stable():
@@ -148,19 +143,33 @@ def test_info_nce_with_nothing_to_contrast_rejected():
         T.info_nce(Tensor(np.eye(3)), np.array([0, 0]), 0.5)
 
 
-def test_softmax_mse_is_zero_at_numpy_softmax():
-    """softmax_mse's softmax is numpy's, stable under a per-row shift: its
-    loss against numpy's softmax rows is 0 even for logits near 1000."""
+def test_mixmatch_loss_lu_is_zero_at_numpy_softmax():
+    """mixmatch_loss's softmax is numpy's, stable under a per-row shift: its
+    Lu against numpy's softmax rows is 0 even for logits near 1000. Bad
+    shapes, empty batches, batches with no labeled row and labeled targets
+    that do not sum to 1 are rejected."""
     rng = rng_for(2)
     x = rng.normal(size=(6, 4))
     p = np_softmax(x)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    assert T.softmax_mse(Tensor(x), p).item() <= 1e-30
-    assert T.softmax_mse(Tensor(x + 1000.0), p).item() <= 1e-26
+    lab = np.arange(6) < 1
+    assert T.mixmatch_loss(Tensor(x), p, lab, 1.0, 1.0)[1] <= 1e-30
+    assert T.mixmatch_loss(Tensor(x + 1000.0), p, lab, 1.0, 1.0)[1] <= 1e-26
     with pytest.raises(DimensionError):
-        T.softmax_mse(Tensor(x), p[:, :3])
+        T.mixmatch_loss(Tensor(x), p[:, :3], lab, 1.0, 1.0)
+    with pytest.raises(DimensionError):
+        T.mixmatch_loss(Tensor(x), p, lab[:5], 1.0, 1.0)
+    with pytest.raises(DimensionError):
+        T.mixmatch_loss(Tensor(x[0]), p[0], lab[:1], 1.0, 1.0)
     with pytest.raises(DegenerateInputError):
-        T.uniform_kl(Tensor(np.zeros((0, 4))))
+        T.mixmatch_loss(Tensor(np.zeros((0, 4))), np.zeros((0, 4)), lab[:0], 1.0, 1.0)
+    with pytest.raises(DegenerateInputError):
+        T.mixmatch_loss(Tensor(x), p, np.zeros(6, dtype=bool), 1.0, 1.0)
+    doubled = p.copy()
+    doubled[0] *= 2.0
+    with pytest.raises(ContractError):
+        T.mixmatch_loss(Tensor(x), doubled, lab, 1.0, 1.0)
+    T.mixmatch_loss(Tensor(x), doubled, ~lab, 1.0, 1.0)  # unlabeled rows are not checked
 
 
 def test_softmax_cross_entropy_value():
@@ -307,20 +316,20 @@ FD_CASES = {
              lambda r: (_linear_params(r, 5, relu=True), None)),
     "relu_no_bias": (lambda p, c: functional(T.matmul(p[0], p[1], relu=True)),
                      lambda r: (_linear_params(r, 5, relu=True, bias=False), None)),
-    "gather_rows": (lambda p, c: functional(T.gather_rows(p[0], [0, 2, 2, 1])),
-                    lambda r: ([leaf(r, 3, 4)], None)),
     "softmax_ce": (lambda p, c: T.softmax_cross_entropy(p[0], c),
                    lambda r: ([leaf(r, 4, 3)], _targets(r, 4, 3))),
     # softmax_cross_entropy on logits near 1000: the stabilized log-sum-exp
     "logsumexp": (lambda p, c: T.softmax_cross_entropy(
                       T.add(p[0], Tensor(np.full((4, 3), 1000.0))), c),
                   lambda r: ([leaf(r, 4, 3)], _targets(r, 4, 3))),
-    # softmax_mse: the exp of the softmax, through the squared error
-    "exp": (lambda p, c: T.softmax_mse(p[0], c),
-            lambda r: ([leaf(r, 4, 3)], _targets(r, 4, 3))),
-    # uniform_kl: the log of the mean prediction
-    "log": (lambda p, c: T.uniform_kl(p[0]),
-            lambda r: ([leaf(r, 5, 4)], None)),
+    # mixmatch_loss with unlabeled rows between the labeled ones: the exp of
+    # the softmax, through the squared error and the mean prediction
+    "exp": (lambda p, c: T.mixmatch_loss(p[0], c, np.array([True, False, True, False,
+                                                             False, True]), 2.5, 0.7)[3],
+            lambda r: ([leaf(r, 6, 3)], _targets(r, 6, 3))),
+    # mixmatch_loss with no unlabeled row: the log of the mean prediction
+    "log": (lambda p, c: T.mixmatch_loss(p[0], c, np.ones(5, dtype=bool), 2.5, 0.7)[3],
+            lambda r: ([leaf(r, 5, 4)], _targets(r, 5, 4))),
     "l2_normalize": (lambda p, c: functional(T.l2_normalize(p[0])),
                      lambda r: ([leaf(r, 3, 4)], None)),
     # info_nce, whose similarities z z^T reach the gradient through z and z^T
@@ -354,6 +363,92 @@ def test_masked_logsumexp_finite_difference():
         check_gradients(lambda: T.info_nce(p[0], keys, tau), p)
 
 
+# ------------------------------------- the MixMatch objective, bit for bit
+
+def _accumulate(t, g):
+    t.grad = g if t.grad is None else t.grad + g
+
+
+def _softmax_backward(p, dp):
+    return p * (dp - (dp * p).sum(axis=1, keepdims=True))
+
+
+def _gather_rows(a, idx):
+    """Row selection as its own node, the gradient scattered back into zeros."""
+    def backward(g):
+        rows = np.zeros_like(a.data)
+        np.add.at(rows, idx, g)
+        _accumulate(a, rows)
+
+    return Tensor(a.data[idx], parents=(a,), backward=backward)
+
+
+def _softmax_mse(logits, targets):
+    p = np_softmax(logits.data)
+    diff = p - targets
+
+    def backward(g):
+        _accumulate(logits, _softmax_backward(p, diff * (2.0 * g / diff.size)))
+
+    return Tensor((diff * diff).mean(), parents=(logits,), backward=backward)
+
+
+def _uniform_kl(logits):
+    n, c = logits.shape
+    p = np_softmax(logits.data)
+    mean_p = p.mean(axis=0)
+    prior = 1.0 / c
+
+    def backward(g):
+        _accumulate(logits, _softmax_backward(
+            p, np.broadcast_to(-g * prior / (n * mean_p), p.shape)))
+
+    return Tensor((prior * (np.log(prior) - np.log(mean_p))).sum(),
+                  parents=(logits,), backward=backward)
+
+
+def per_term_mixmatch_loss(logits, targets, is_labeled, lambda_u, lambda_r):
+    """The MixMatch objective as a graph of one node per term, the reference
+    that mixmatch_loss must reproduce bit for bit."""
+    lab_idx, unl_idx = np.flatnonzero(is_labeled), np.flatnonzero(~is_labeled)
+    lx = T.softmax_cross_entropy(_gather_rows(logits, lab_idx), targets[lab_idx])
+    lu = (_softmax_mse(_gather_rows(logits, unl_idx), targets[unl_idx])
+          if len(unl_idx) else Tensor(0.0))
+    lreg = _uniform_kl(logits)
+    return lx, lu, lreg, lx + T.scale(lu, lambda_u) + T.scale(lreg, lambda_r)
+
+
+@pytest.mark.parametrize("case", ["random", "lambda_u_zero", "no_unlabeled", "one_labeled"])
+def test_mixmatch_loss_is_bit_identical_to_the_per_term_graph(case):
+    """One node, whose total, terms and logits gradient equal the per-term
+    graph's byte for byte, so the signs of zeros too."""
+    r = rng_for(0x33, zlib.crc32(case.encode()))
+    data = r.normal(scale=3.0, size=(128, 4))
+    # every 8th row's softmax underflows to exact zeros, whose gradients are
+    # signed zeros
+    data[::8, 0] += 800.0
+    targets = r.dirichlet(np.ones(4), size=128)
+    lab = r.random(128) < 0.5
+    lambda_u, lambda_r = 7.5, 1.0
+    if case == "lambda_u_zero":
+        lambda_u = 0.0
+    elif case == "no_unlabeled":
+        lab[:] = True
+    elif case == "one_labeled":
+        lab[:] = np.arange(128) == 37
+    got_logits, want_logits = (Tensor(data, requires_grad=True) for _ in range(2))
+    *got_terms, got = T.mixmatch_loss(got_logits, targets, lab, lambda_u, lambda_r)
+    *want_terms, want = per_term_mixmatch_loss(want_logits, targets, lab, lambda_u, lambda_r)
+    assert got._parents == (got_logits,)
+    assert all(type(t) is float for t in got_terms)
+    assert np.array(got_terms).tobytes() == np.array([t.item() for t in want_terms]).tobytes()
+    assert got.data.tobytes() == want.data.tobytes()
+    got.backward()
+    want.backward()
+    assert got_logits.grad.tobytes() == want_logits.grad.tobytes()
+    assert np.array_equal(np.signbit(got_logits.grad), np.signbit(want_logits.grad))
+
+
 # ---------------------------------------------------------------- SGD
 
 def test_sgd_momentum_weight_decay_oracle():
@@ -369,6 +464,44 @@ def test_sgd_momentum_weight_decay_oracle():
     opt.step()
     v2 = 0.5 * v1 + (np.array([0.1, 0.1]) + 0.01 * want1)
     assert np.allclose(p.data, want1 - 0.1 * v2, atol=1e-15)
+
+
+def test_sgd_step_equals_the_out_of_place_expression():
+    """The in-place update gives, bit for bit, p -= lr * v with
+    v = momentum * v + (grad + wd * p), over steps with momentum, weight
+    decay and an lr that changes between them."""
+    r = rng_for(12)
+    params = {"w": leaf(r, 5, 3), "b": leaf(r, 3)}
+    want = {name: p.data.copy() for name, p in params.items()}
+    velocity = {name: np.zeros_like(d) for name, d in want.items()}
+    opt = SGD(params, lr=0.05, momentum=0.9, weight_decay=5e-4)
+    for step in range(6):
+        opt.lr = 0.05 if step < 3 else 0.005
+        for name, p in params.items():
+            p.grad = r.normal(size=p.shape)
+            g = p.grad + opt.weight_decay * want[name]
+            velocity[name] *= opt.momentum
+            velocity[name] += g
+            want[name] -= opt.lr * velocity[name]
+        opt.step()
+        for name, p in params.items():
+            assert p.data.tobytes() == want[name].tobytes()
+
+
+def test_sgd_step_allocates_no_parameter_sized_array():
+    """A step updates in place: its peak allocation stays below one 256 x 256
+    parameter, so a fresh process does not page-fault a new temporary of that
+    size in on every step."""
+    p = Tensor(np.ones((256, 256)), requires_grad=True)
+    opt = SGD({"p": p}, lr=0.1, momentum=0.9, weight_decay=5e-4)
+    p.grad = np.full((256, 256), 0.5)
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.data.nbytes
 
 
 def test_sgd_skips_params_without_grad():
