@@ -21,7 +21,8 @@ its ACCEPTANCE lines; the pass rules live only in the tests.
                         SSL, CSSL with pretraining and CSSL without.
   relabel (9)           the 2-D blobs at 80% symmetric noise: self-supervised
                         pretraining, then label correction on the frozen
-                        encoder. Flipped labels before and after.
+                        encoder. Wrong labels (noisy != clean) before and
+                        after.
 
 After each table a line gives the protocol's wall seconds, the CPU user and
 sys seconds and the minor page faults of this process over it.
@@ -113,8 +114,8 @@ def relabel(seed: int) -> dict:
     m = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=seed)
     pretrain_selfcon(ds, m, cfg)
     fixed = label_correction(ds, m, cfg)
-    return dict(flips_before=int(ds.flip_mask.sum()),
-                flips_after=int(fixed.flip_mask.sum()))
+    return dict(wrong_before=int(ds.flip_mask.sum()),
+                wrong_after=int(fixed.flip_mask.sum()))
 
 
 PROTOCOLS = {f.__name__: f for f in (memorizing, blobs_2d, cssl, relabel)}

@@ -68,9 +68,10 @@ def cmd_gen(args) -> int:
     out_dir = _prepare_run_dir(values)
     header = (["index"] + [f"x{i}" for i in range(ds.dim)]
               + ["clean_label", "noisy_label", "flip"])
+    flip = ds.flip_mask
     write_csv(os.path.join(out_dir, "train.csv"), header,
               ([i, *ds.x[i].tolist(), ds.clean_labels[i],
-                ds.noisy_labels[i], int(ds.flip_mask[i])] for i in range(ds.n)))
+                ds.noisy_labels[i], int(flip[i])] for i in range(ds.n)))
     write_csv(os.path.join(out_dir, "test.csv"),
               ["index"] + [f"x{i}" for i in range(ds.dim)] + ["label"],
               ([i, *ds.test_x[i].tolist(), ds.test_labels[i]]
@@ -103,6 +104,8 @@ def cmd_train(args) -> int:
     if len(ds.test_labels) < 3:  # the embedding export needs 3 rows
         raise ConfigError("samples_per_class and num_classes leave < 3 test rows")
     cfg = make_train_config(values)
+    if args.pretrained and values["mode"] == "ce":
+        raise ConfigError("--pretrained needs a CoDiM mode; CE trains from scratch")
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
     out_dir = _prepare_run_dir(values)
     if values["mode"] == "ce":

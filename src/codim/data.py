@@ -24,7 +24,6 @@ class Dataset:
     x: np.ndarray
     clean_labels: np.ndarray
     noisy_labels: np.ndarray
-    flip_mask: np.ndarray
     test_x: np.ndarray
     test_labels: np.ndarray
     num_classes: int
@@ -37,14 +36,16 @@ class Dataset:
     def dim(self) -> int:
         return self.x.shape[1]
 
+    @property
+    def flip_mask(self) -> np.ndarray:
+        """The rows whose training label differs from the clean one."""
+        return self.noisy_labels != self.clean_labels
+
     def with_noise(self, spec: NoiseSpec) -> "Dataset":
-        noisy, flip = inject_noise(self.clean_labels, self.num_classes, spec)
-        return replace(self, noisy_labels=noisy, flip_mask=flip)
+        return self.with_labels(inject_noise(self.clean_labels, self.num_classes, spec))
 
     def with_labels(self, new_labels: np.ndarray) -> "Dataset":
-        new_labels = np.asarray(new_labels, dtype=np.intp)
-        return replace(self, noisy_labels=new_labels,
-                       flip_mask=new_labels != self.clean_labels)
+        return replace(self, noisy_labels=np.asarray(new_labels, dtype=np.intp))
 
 
 def _check_counts(spec, *names):
@@ -89,7 +90,6 @@ def blob_means(num_classes: int, dim: int, separation: float) -> np.ndarray:
 def _clean(x, labels, test_x, test_labels, num_classes: int) -> Dataset:
     """A Dataset whose training labels are all still clean."""
     return Dataset(x=x, clean_labels=labels, noisy_labels=labels.copy(),
-                   flip_mask=np.zeros(len(labels), dtype=bool),
                    test_x=test_x, test_labels=test_labels, num_classes=num_classes)
 
 

@@ -158,14 +158,10 @@ class ModelTriple:
         for name, p in params.items():
             p.data = np.array(values[name])
 
-    def clone(self) -> "ModelTriple":
-        other = ModelTriple(self.arch, seed=0)
-        other.load_state_dict(self.state_dict())
-        return other
-
     def reinit_classifier(self, seed: int) -> "ModelTriple":
         """Copy with the trunk and projector bit-identical and a fresh classifier."""
-        other = self.clone()
+        other = ModelTriple(self.arch, seed=0)
+        other.load_state_dict(self.state_dict())
         rng = np.random.Generator(np.random.PCG64(seed))
         other.cls = Mlp([self.arch.repr_dim, self.arch.num_classes], rng)
         return other

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,21 +47,22 @@ def adjacent_pair_map(num_classes: int) -> dict[int, int]:
     return mapping
 
 
-def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec):
-    """Corrupt round(ratio*N) labels; returns (noisy_labels, flip_mask).
+def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec) -> np.ndarray:
+    """Redraw the labels of round(ratio*N) randomly chosen rows; returns the
+    noisy labels.
 
-    flip_mask marks the *selected* indices: under the default symmetric
-    convention a selected label may be redrawn as its own class, so the
-    expected fraction of labels actually differing is ratio*(C-1)/C.
-
-    Raises ParameterError where, within a class, some wrong label would be
-    expected at least as often as the true one: no method can recover the
-    classes then. The ratio must stay below (C-1)/C for strict symmetric
-    noise, 1 for symmetric noise redrawn over all classes and 0.5 for
-    asymmetric noise.
+    Raises ParameterError for a class_map entry outside [0, num_classes), and
+    where, within a class, some wrong label would be expected at least as
+    often as the true one: no method can recover the classes then. The ratio
+    must stay below (C-1)/C for strict symmetric noise, 1 for symmetric noise
+    redrawn over all classes and 0.5 for asymmetric noise.
     """
     if spec.kind == "asymmetric":
         regime, bound = "asymmetric", 0.5
+        for src, dst in spec.class_map.items():
+            if not (0 <= src < num_classes and 0 <= dst < num_classes):
+                raise ParameterError(
+                    f"class_map entry {src} -> {dst} is outside [0, {num_classes})")
     elif spec.redraw_over_all:
         regime, bound = "symmetric (redrawn over all classes)", 1.0
     else:
@@ -79,8 +80,6 @@ def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec):
     n_flip = int(round(spec.ratio * n))
     selected = rng.choice(n, size=n_flip, replace=False)
     noisy = labels.copy()
-    flip_mask = np.zeros(n, dtype=bool)
-    flip_mask[selected] = True
     if spec.kind == "symmetric":
         if spec.redraw_over_all:
             noisy[selected] = rng.integers(0, num_classes, size=n_flip)
@@ -93,7 +92,7 @@ def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec):
         for src, dst in spec.class_map.items():
             mapping[src] = dst
         noisy[selected] = mapping[labels[selected]]
-    return noisy, flip_mask
+    return noisy
 
 
 def per_sample_losses(m: ModelTriple, x: np.ndarray, noisy_labels: np.ndarray) -> np.ndarray:
@@ -117,9 +116,11 @@ class GmmParams:
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    iterations: int
-    log_likelihood: float
-    ll_history: list[float] = field(default_factory=list)
+    ll_history: list[float]  # one log-likelihood per EM iteration
+
+    @property
+    def iterations(self) -> int:
+        return len(self.ll_history)
 
 
 def _densities(values, weights, means, variances, dens=None, totals=None):
@@ -172,8 +173,7 @@ def fit_gmm_1d(values: np.ndarray) -> GmmParams:
     resp, tmp, totals = np.empty((2, n)), np.empty((2, n)), np.empty(n)
     ll_history = []
     prev_ll = -np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         _densities(values, weights, means, variances, resp, totals)
         ll = float(np.log(totals, out=tmp[0]).sum())
         ll_history.append(ll)
@@ -191,8 +191,7 @@ def fit_gmm_1d(values: np.ndarray) -> GmmParams:
 
     order = np.argsort(means)
     return GmmParams(weights=weights[order], means=means[order],
-                     variances=variances[order], iterations=iterations,
-                     log_likelihood=ll_history[-1], ll_history=ll_history)
+                     variances=variances[order], ll_history=ll_history)
 
 
 def check_threshold(threshold: float):

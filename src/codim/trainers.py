@@ -301,9 +301,9 @@ class CodimTrainer:
         partitions = [partition_by_losses(peer, data.x, data.noisy_labels,
                                           cfg.gmm_threshold)
                       for peer in (self.duo.net_b, self.duo.net_a)]
-        if data.flip_mask.any() and not data.flip_mask.all():
-            auc = float(np.mean([auc_score(p.clean_prob, ~data.flip_mask)
-                                 for p in partitions]))
+        flip = data.flip_mask
+        if flip.any() and not flip.all():
+            auc = float(np.mean([auc_score(p.clean_prob, ~flip) for p in partitions]))
         else:
             auc = 0.5  # no planted noise to score against
 

@@ -161,13 +161,14 @@ def test_criterion_3_gmm_recovery():
 def test_criterion_4_noise_statistics():
     n, c, r = 10_000, 10, 0.5
     labels = rng_for(0xAC8).integers(0, c, size=n)
-    noisy, _ = inject_noise(labels, c, NoiseSpec("symmetric", r, seed=17))
+    noisy = inject_noise(labels, c, NoiseSpec("symmetric", r, seed=17))
     frac = (noisy != labels).mean()
     sigma = np.sqrt(r * n * 0.9 * 0.1) / n
     sym_ok = abs(frac - 0.45) <= 3 * sigma
     labels4 = rng_for(0xAC9).integers(0, 4, size=5000)
-    noisy4, mask4 = inject_noise(labels4, 4, NoiseSpec(
+    noisy4 = inject_noise(labels4, 4, NoiseSpec(
         "asymmetric", 0.4, seed=3, class_map={0: 1, 1: 0, 2: 3, 3: 2}))
+    mask4 = noisy4 != labels4
     asym_ok = (mask4.sum() == round(0.4 * 5000)
                and (noisy4[mask4] != labels4[mask4]).all())
     ok = sym_ok and asym_ok
@@ -273,11 +274,11 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 
 def test_criterion_9_label_correction():
     rows = run_protocol(reproduce.relabel)[0]
-    wins = sum(r["flips_after"] < r["flips_before"] for r in rows)
+    wins = sum(r["wrong_after"] < r["wrong_before"] for r in rows)
     ok = wins >= 4
-    report("9 (label correction reduces flips, 4/5 seeds)", ok,
-           f"{wins}/5; " + ", ".join(f"seed {r['seed']}: {r['flips_before']}->"
-                                     f"{r['flips_after']}" for r in rows))
+    report("9 (label correction reduces wrong labels, 4/5 seeds)", ok,
+           f"{wins}/5; " + ", ".join(f"seed {r['seed']}: {r['wrong_before']}->"
+                                     f"{r['wrong_after']}" for r in rows))
     assert ok
 
 

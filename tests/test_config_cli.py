@@ -94,7 +94,9 @@ def test_resolved_round_trip():
 def test_make_dataset_and_train_config(tmp_path):
     values = parse_config_text(SMALL_CONFIG)
     ds = make_dataset(values)
-    assert ds.num_classes == 3 and ds.flip_mask.sum() == round(0.3 * ds.n)
+    # redrawn over all classes, a selected row may keep its clean label
+    assert ds.num_classes == 3 and 0 < ds.flip_mask.sum() <= round(0.3 * ds.n)
+    assert np.array_equal(ds.flip_mask, ds.noisy_labels != ds.clean_labels)
     cfg = make_train_config(values)
     assert cfg.feat_hidden == (8, 8) and cfg.mode == "sup"
     cfg_dm = make_train_config({**values, "mode": "dividemix"})
@@ -218,6 +220,18 @@ def test_cli_train_ce_mode(tmp_path, capsys):
     cfg, out_dir = write_config(tmp_path)
     assert main(["train", cfg, "--mode", "ce"]) == 0
     assert "mode=ce" in capsys.readouterr().out
+
+
+def test_cli_train_ce_with_pretrained_exits_2_before_the_run_dir(tmp_path, capsys):
+    """CE trains from scratch, so a checkpoint for it is a usage error, even
+    one that holds only the magic and would never be read."""
+    cfg, out_dir = write_config(tmp_path)
+    ckpt = tmp_path / "empty.ckpt"
+    ckpt.write_bytes(MAGIC)
+    assert main(["train", cfg, "--mode", "ce", "--pretrained", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--pretrained" in err
+    assert not os.path.exists(out_dir)
 
 
 def test_cli_cssl(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Every name a module under src/codim, tests/ or scripts/ imports is used in
-that module, every module-level private name a module under src/codim
-defines is referenced elsewhere in it, and every codim name the benchmark
-under bench/ calls or expects to see traced still resolves."""
+that module, every module-level private name a module under src/codim or
+scripts/ defines is referenced elsewhere in it, and every codim name the
+benchmark under bench/ calls or expects to see traced still resolves."""
 
 import ast
 import importlib
@@ -14,6 +14,11 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "codim"
 BENCH = ROOT / "bench"
+CODE = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def path_id(path: pathlib.Path) -> str:
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,10 +66,8 @@ def test_detects_unused_import():
         "line 1: os", "line 2: b"]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    + sorted((ROOT / "scripts").glob("*.py")),
-    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", CODE + sorted((ROOT / "tests").glob("*.py")),
+                         ids=path_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -77,7 +80,7 @@ def test_detects_dead_private_name():
     assert dead_private_names(source) == ["line 4: _dead", "line 8: _UNREAD"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CODE, ids=path_id)
 def test_no_dead_private_names(path):
     assert dead_private_names(path.read_text(encoding="utf-8")) == []
 

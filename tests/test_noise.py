@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from codim.data import BlobSpec, gen_blobs
 from codim.errors import DegenerateInputError, ParameterError
 from codim.models import Arch, ModelTriple
 from codim.noise import (GmmParams, NoiseSpec, Partition, adjacent_pair_map,
@@ -47,9 +48,11 @@ def test_noise_without_a_true_majority_rejected(c, spec, bound):
                                               rf".* must be < {bound}$")):
         inject_noise(labels, c, spec)
     below = replace(spec, ratio=np.nextafter(spec.ratio, 0.0))
-    noisy, flip_mask = inject_noise(labels, c, below)
-    assert flip_mask.sum() == round(below.ratio * 40)
-    assert (noisy[~flip_mask] == labels[~flip_mask]).all()
+    changed = (inject_noise(labels, c, below) != labels).sum()
+    if spec.kind == "symmetric" and spec.redraw_over_all:
+        assert 0 < changed <= round(below.ratio * 40)  # a redraw may keep its label
+    else:
+        assert changed == round(below.ratio * 40)
 
 
 def test_adjacent_pair_map():
@@ -63,23 +66,20 @@ def test_symmetric_binomial_oracle():
     with mean 0.45; the measurement must fall within 3 sigma."""
     n, c, r = 10_000, 10, 0.5
     labels = rng_for(0xD0).integers(0, c, size=n)
-    noisy, flip_mask = inject_noise(labels, c, NoiseSpec("symmetric", r, seed=7))
-    assert flip_mask.sum() == round(r * n)
+    noisy = inject_noise(labels, c, NoiseSpec("symmetric", r, seed=7))
     frac = (noisy != labels).mean()
     sigma = np.sqrt(r * n * 0.9 * 0.1) / n
     assert abs(frac - 0.45) <= 3 * sigma, f"fraction {frac}"
-    # labels only change on selected indices
-    assert (noisy[~flip_mask] == labels[~flip_mask]).all()
 
 
 def test_symmetric_strict_convention_always_differs():
     labels = rng_for(0xD1).integers(0, 4, size=5000)
-    noisy, flip_mask = inject_noise(
+    noisy = inject_noise(
         labels, 4, NoiseSpec("symmetric", 0.4, seed=3, redraw_over_all=False))
-    assert (noisy[flip_mask] != labels[flip_mask]).all()
-    assert flip_mask.sum() == 2000
+    changed = noisy != labels
+    assert changed.sum() == 2000
     # redrawn labels are uniform over the other 3 classes
-    counts = np.bincount(noisy[flip_mask], minlength=4)
+    counts = np.bincount(noisy[changed], minlength=4)
     assert counts.min() > 0
 
 
@@ -87,21 +87,94 @@ def test_asymmetric_flips_exact_count_through_map():
     n, c, r = 3000, 4, 0.4
     labels = rng_for(0xD2).integers(0, c, size=n)
     mapping = adjacent_pair_map(c)
-    noisy, flip_mask = inject_noise(
+    noisy = inject_noise(
         labels, c, NoiseSpec("asymmetric", r, seed=5, class_map=mapping))
-    assert flip_mask.sum() == round(r * n) == 1200
-    assert (noisy[flip_mask] != labels[flip_mask]).all()
+    changed = noisy != labels
+    assert changed.sum() == round(r * n) == 1200
     lut = np.array([mapping[i] for i in range(c)])
-    assert (noisy[flip_mask] == lut[labels[flip_mask]]).all()
-    assert (noisy[~flip_mask] == labels[~flip_mask]).all()
+    assert (noisy[changed] == lut[labels[changed]]).all()
 
 
 def test_inject_noise_deterministic():
     labels = np.arange(100) % 5
     spec = NoiseSpec("symmetric", 0.3, seed=11)
-    a = inject_noise(labels, 5, spec)
-    b = inject_noise(labels, 5, spec)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert np.array_equal(inject_noise(labels, 5, spec), inject_noise(labels, 5, spec))
+
+
+@pytest.mark.parametrize("class_map", [{0: 7}, {0: -1}, {9: 0}],
+                         ids=["target-above", "target-negative", "source-above"])
+def test_class_map_outside_the_classes_rejected(class_map):
+    spec = NoiseSpec("asymmetric", 0.4, class_map=class_map)
+    with pytest.raises(ParameterError, match=r"class_map entry .* outside \[0, 4\)"):
+        inject_noise(np.arange(40) % 4, 4, spec)
+
+
+def _selected_rows_inject_noise(labels, num_classes, spec):
+    """The injector as it was when it also returned the rows it selected
+    (majority checks left out): the oracle of the draws, and of which rows
+    a draw selected."""
+    labels = np.asarray(labels, dtype=np.intp)
+    n = len(labels)
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    n_flip = int(round(spec.ratio * n))
+    selected = rng.choice(n, size=n_flip, replace=False)
+    noisy = labels.copy()
+    flip_mask = np.zeros(n, dtype=bool)
+    flip_mask[selected] = True
+    if spec.kind == "symmetric":
+        if spec.redraw_over_all:
+            noisy[selected] = rng.integers(0, num_classes, size=n_flip)
+        else:
+            draws = rng.integers(0, num_classes - 1, size=n_flip)
+            draws += draws >= labels[selected]
+            noisy[selected] = draws
+    else:
+        mapping = np.arange(num_classes)
+        for src, dst in spec.class_map.items():
+            mapping[src] = dst
+        noisy[selected] = mapping[labels[selected]]
+    return noisy, flip_mask
+
+
+# The CIFAR-10 asymmetric map of Patrini et al. (arXiv:1609.03683), as used by
+# DivideMix: truck -> automobile, bird -> airplane, deer -> horse, cat <-> dog.
+PARTIAL_MAP = {9: 1, 2: 0, 4: 7, 3: 5, 5: 3}
+NOISE_KINDS = {
+    "strict": (4, [0.2, 0.4, 0.7], lambda r, s: NoiseSpec(
+        "symmetric", r, seed=s, redraw_over_all=False)),
+    "over-all": (4, [0.2, 0.5, 0.8, 0.9], lambda r, s: NoiseSpec("symmetric", r, seed=s)),
+    "full-map": (4, [0.2, 0.4, 0.45], lambda r, s: NoiseSpec(
+        "asymmetric", r, seed=s, class_map=adjacent_pair_map(4))),
+    "partial-map": (10, [0.2, 0.4, 0.45], lambda r, s: NoiseSpec(
+        "asymmetric", r, seed=s, class_map=PARTIAL_MAP)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
+def test_noisy_labels_match_the_selected_rows_oracle(kind):
+    """Same draws as the oracle, byte for byte, and ``flip_mask`` marks the
+    rows whose label changed: every selected row for strict and full-map
+    noise, a subset of them for the other two."""
+    c, ratios, make = NOISE_KINDS[kind]
+    clean = gen_blobs(BlobSpec(num_classes=c, samples_per_class=150, seed=3))
+    for ratio in ratios:
+        for seed in range(4):
+            spec = make(ratio, seed)
+            ds = clean.with_noise(spec)
+            want, selected = _selected_rows_inject_noise(ds.clean_labels, c, spec)
+            got = inject_noise(ds.clean_labels, c, spec)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert ds.noisy_labels.tobytes() == want.tobytes()
+            assert np.array_equal(ds.flip_mask, ds.noisy_labels != ds.clean_labels)
+            assert not (ds.flip_mask & ~selected).any()
+            if kind in ("strict", "full-map"):
+                assert np.array_equal(ds.flip_mask, selected)
+                assert ds.flip_mask.sum() == round(ratio * ds.n)
+            else:
+                assert ds.flip_mask.sum() < selected.sum()
+            if kind == "partial-map":  # a selected row of an unmapped class keeps its label
+                mapped = np.isin(ds.clean_labels, list(PARTIAL_MAP))
+                assert np.array_equal(ds.flip_mask, selected & mapped)
 
 
 # ------------------------------------------------------------------ GMM
@@ -200,8 +273,7 @@ def test_gmm_degenerate_inputs():
 
 def test_make_partition_posterior():
     g = GmmParams(weights=np.array([0.5, 0.5]), means=np.array([0.0, 1.0]),
-                  variances=np.array([0.01, 0.01]), iterations=1,
-                  log_likelihood=0.0)
+                  variances=np.array([0.01, 0.01]), ll_history=[0.0])
     part = make_partition(g, np.array([0.0, 1.0, 0.5]), threshold=0.5)
     assert part.clean_prob[0] > 0.99
     assert part.clean_prob[1] < 0.01
