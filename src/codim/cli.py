@@ -104,8 +104,9 @@ def cmd_train(args) -> int:
     if len(ds.test_labels) < 3:  # the embedding export needs 3 rows
         raise ConfigError("samples_per_class and num_classes leave < 3 test rows")
     cfg = make_train_config(values)
-    if args.pretrained and values["mode"] == "ce":
-        raise ConfigError("--pretrained needs a CoDiM mode; CE trains from scratch")
+    if args.pretrained and values["mode"] in ("ce", "dividemix"):
+        raise ConfigError(f"--pretrained needs a pre-trained mode; {values['mode']} "
+                          "trains from scratch")
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
     out_dir = _prepare_run_dir(values)
     if values["mode"] == "ce":

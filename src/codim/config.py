@@ -79,6 +79,7 @@ SCHEMA: dict[str, tuple] = {
 
 def parse_config_text(text: str) -> dict:
     values = {key: default for key, (_, default) in SCHEMA.items()}
+    seen = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,6 +90,9 @@ def parse_config_text(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         parser = SCHEMA[key][0]
         try:
             values[key] = parser(value)

@@ -57,53 +57,30 @@ def augment(x: np.ndarray, spec: AugmentSpec, strength: str,
     return out * scales
 
 
-@dataclass
-class ViewBatch:
-    """Projected views with pairing metadata.
-
-    ``z`` holds 2K unit rows; ``source_index[i]`` identifies the originating
-    sample so rows 2k and 2k+1 share an index; ``labels`` (optional) carries
-    one class id per view, equal within a pair.
-    """
-
-    z: Tensor
-    source_index: np.ndarray
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.source_index = np.asarray(self.source_index, dtype=np.intp)
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.intp)
-
-    @property
-    def num_views(self) -> int:
-        return self.z.data.shape[0]
-
-
-def _check_batch(v: ViewBatch, tau: float, need_labels: bool):
+def _check_batch(z: Tensor, tau: float):
     ParameterError.check_value("tau", tau, "invertible")
-    if v.num_views < 4:
+    if z.data.shape[0] < 4:
         raise DegenerateInputError("contrastive loss needs K >= 2 source samples")
-    if need_labels and v.labels is None:
-        raise DegenerateInputError("supervised contrastive loss requires labels")
 
 
-def self_con_loss(v: ViewBatch, tau: float) -> Tensor:
+def self_con_loss(z: Tensor, tau: float) -> Tensor:
     """Mean over anchors of -log softmax similarity with the sibling view."""
-    _check_batch(v, tau, need_labels=False)
-    return T.info_nce(v.z, v.source_index, tau)
+    _check_batch(z, tau)
+    return T.info_nce(z, np.arange(z.data.shape[0]) // 2, tau)
 
 
-def sup_con_loss(v: ViewBatch, tau: float) -> Tensor:
+def sup_con_loss(z: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     """Mean over anchors of the InfoNCE terms whose positives share the
-    anchor's label; anchors without one are skipped, so it is never NaN."""
-    _check_batch(v, tau, need_labels=True)
-    return T.info_nce(v.z, v.labels, tau)
+    anchor's label, ``labels`` holding one class id per source row; anchors
+    without a positive are skipped, so it is never NaN."""
+    _check_batch(z, tau)
+    return T.info_nce(z, np.repeat(labels, 2), tau)
 
 
-def make_view_batch(m: ModelTriple, x: np.ndarray, labels, spec: AugmentSpec,
-                    rng: np.random.Generator) -> ViewBatch:
-    """Two independent strong augmentations per row, projected and interleaved."""
+def make_view_batch(m: ModelTriple, x: np.ndarray, spec: AugmentSpec,
+                    rng: np.random.Generator) -> Tensor:
+    """Two independent strong augmentations per row, projected to 2K unit
+    rows: source row k's two views are rows 2k and 2k + 1."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise DegenerateInputError("make_view_batch: empty batch")
@@ -113,7 +90,4 @@ def make_view_batch(m: ModelTriple, x: np.ndarray, labels, spec: AugmentSpec,
     stacked = np.empty((2 * k, x.shape[1]))
     stacked[0::2] = a1
     stacked[1::2] = a2
-    z = m.forward_projection(stacked)
-    source_index = np.repeat(np.arange(k), 2)
-    view_labels = None if labels is None else np.repeat(np.asarray(labels), 2)
-    return ViewBatch(z=z, source_index=source_index, labels=view_labels)
+    return m.forward_projection(stacked)

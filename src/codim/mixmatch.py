@@ -99,35 +99,25 @@ def mixup(x1: np.ndarray, p1: np.ndarray, x2: np.ndarray, p2: np.ndarray,
     return x_mix, p_mix
 
 
-@dataclass
-class SemiBatch:
-    """Mixed inputs with per-row probability targets and origin tracking."""
-
-    mixed_x: np.ndarray
-    mixed_targets: np.ndarray
-    is_labeled: np.ndarray
-
-    def __post_init__(self):
-        sums = self.mixed_targets.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
-            raise DegenerateInputError("SemiBatch target rows must sum to 1")
-
-
 def build_semi_batch(x_lab: np.ndarray, p_lab: np.ndarray, x_unl: np.ndarray,
-                     p_unl: np.ndarray, alpha: float,
-                     rng: np.random.Generator) -> SemiBatch:
-    """MixUp each row with a random partner drawn from the combined pool."""
+                     p_unl: np.ndarray, alpha: float, rng: np.random.Generator):
+    """MixUp each row with a random partner drawn from the combined pool.
+    Returns the mixed inputs, their targets, whose rows must sum to 1, and
+    the mask of the rows that came from the labeled side."""
     pool_x = np.concatenate([x_lab, x_unl]) if len(x_unl) else np.asarray(x_lab)
     pool_p = np.concatenate([p_lab, p_unl]) if len(x_unl) else np.asarray(p_lab)
     perm = rng.permutation(pool_x.shape[0])
     mixed_x, mixed_p = mixup(pool_x, pool_p, pool_x[perm], pool_p[perm], alpha, rng)
+    if np.any(np.abs(mixed_p.sum(axis=1) - 1.0) > 1e-6):
+        raise DegenerateInputError("build_semi_batch: target rows must sum to 1")
     is_labeled = np.zeros(pool_x.shape[0], dtype=bool)
     is_labeled[: len(x_lab)] = True
-    return SemiBatch(mixed_x=mixed_x, mixed_targets=mixed_p, is_labeled=is_labeled)
+    return mixed_x, mixed_p, is_labeled
 
 
-def semi_loss(m: ModelTriple, batch: SemiBatch, hyper: SslHyper, epoch: float):
+def semi_loss(m: ModelTriple, x: np.ndarray, targets: np.ndarray, is_labeled: np.ndarray,
+              hyper: SslHyper, epoch: float):
     """Return the floats Lx, Lu, Lreg and the total loss's node for one mixed
     batch, Lu weighted by the ramped lambda_u of ``epoch``."""
-    return T.mixmatch_loss(m.forward_logits(batch.mixed_x), batch.mixed_targets,
-                           batch.is_labeled, hyper.ramped_lambda_u(epoch), hyper.lambda_r)
+    return T.mixmatch_loss(m.forward_logits(x), targets, is_labeled,
+                           hyper.ramped_lambda_u(epoch), hyper.lambda_r)

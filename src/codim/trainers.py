@@ -12,7 +12,7 @@ from . import tensor as T
 from .contrastive import (AugmentSpec, augment, make_view_batch, self_con_loss,
                           sup_con_loss)
 from .data import Dataset
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, DimensionError, ParameterError
 from .metrics import auc_score, consistency_metric, test_accuracy
 from .mixmatch import (SslHyper, build_semi_batch, co_refine, guess_labels,
                        mean_weak_proba, one_hot, semi_loss)
@@ -155,8 +155,8 @@ def pretrain_selfcon(dataset: Dataset, m: ModelTriple, cfg: TrainConfig) -> list
     losses = []
     for _ in range(cfg.pretrain_steps):
         idx = _draw(rng, np.arange(dataset.n), cfg.batch_size)
-        vb = make_view_batch(m, dataset.x[idx], None, cfg.aug, rng)
-        losses.append(_step(opt, self_con_loss(vb, cfg.tau1)))
+        views = make_view_batch(m, dataset.x[idx], cfg.aug, rng)
+        losses.append(_step(opt, self_con_loss(views, cfg.tau1)))
     return losses
 
 
@@ -203,11 +203,11 @@ def _contrastive_terms(net: ModelTriple, cfg: TrainConfig, mode: str, x_lab: np.
     SelfCon on the unlabeled rows. A term with zero weight or < 2 rows is left out."""
     terms = []
     if mode in ("sup", "cssl") and cfg.lambda_sup != 0 and len(x_lab) >= 2:
-        views = make_view_batch(net, x_lab, labels, cfg.aug, rng)
-        terms.append((cfg.lambda_sup, sup_con_loss(views, cfg.tau3)))
+        views = make_view_batch(net, x_lab, cfg.aug, rng)
+        terms.append((cfg.lambda_sup, sup_con_loss(views, labels, cfg.tau3)))
     self_rows = {"self": x_lab, "cssl": x_unl}.get(mode, ())
     if cfg.lambda_self != 0 and len(self_rows) >= 2:
-        views = make_view_batch(net, self_rows, None, cfg.aug, rng)
+        views = make_view_batch(net, self_rows, cfg.aug, rng)
         terms.append((cfg.lambda_self, self_con_loss(views, cfg.tau2)))
     return terms
 
@@ -226,9 +226,8 @@ def _mixmatch_step(net: ModelTriple, guessers: tuple[ModelTriple, ...], opt: SGD
     else:
         x_unl_s, guessed = x_unl, np.zeros((0, targets.shape[1]))
     x_lab_s = augment(x_lab, cfg.aug, "strong", rng)
-    batch = build_semi_batch(x_lab_s, targets, x_unl_s, guessed,
-                             cfg.ssl.mixup_alpha, rng)
-    lx, lu, lreg, total = semi_loss(net, batch, cfg.ssl, float(epoch))
+    mixed = build_semi_batch(x_lab_s, targets, x_unl_s, guessed, cfg.ssl.mixup_alpha, rng)
+    lx, lu, lreg, total = semi_loss(net, *mixed, cfg.ssl, float(epoch))
     # drawn after the mix, so the views follow it in the rng stream
     terms = _contrastive_terms(net, cfg, mode, x_lab, labels, x_unl, rng)
     for weight, term in terms:
@@ -368,6 +367,10 @@ def train_cssl(dataset: Dataset, labeled_mask: np.ndarray,
     ``lambda_sup == lambda_self == 0`` is the plain-SSL baseline.
     """
     labeled_mask = np.asarray(labeled_mask, dtype=bool)
+    if labeled_mask.shape != (dataset.n,):
+        raise DimensionError(f"labeled_mask {labeled_mask.shape} for {dataset.n} rows")
+    if not labeled_mask.any():
+        raise DegenerateInputError("labeled_mask marks no labeled row")
     net = ModelTriple(cfg.arch(dataset.dim, dataset.num_classes), seed=cfg.seed)
     pretrain_selfcon(dataset, net, cfg)
     opt = cfg.sgd(net.params())

@@ -90,16 +90,16 @@ def test_criterion_1_gradient_suite():
         worst = max(worst, check_gradients(net_loss, [w, b], tol=1e-6))
     # contrastive losses through raw embeddings
     for i in range(20):
-        v = random_view_batch(rng_for(0xAC2, i), 4, 5, num_classes=2)
-        worst = max(worst, check_gradients(lambda: self_con_loss(v, 0.5), [v.z]))
-        worst = max(worst, check_gradients(lambda: sup_con_loss(v, 0.5), [v.z]))
+        z, labels = random_view_batch(rng_for(0xAC2, i), 4, 5, num_classes=2)
+        worst = max(worst, check_gradients(lambda: self_con_loss(z, 0.5), [z]))
+        worst = max(worst, check_gradients(lambda: sup_con_loss(z, labels, 0.5), [z]))
     # semi-supervised loss end-to-end through a model (1e-5 budget)
     m = ModelTriple(Arch(3, 3, feat_hidden=(8, 8), proj_hidden=8, proj_dim=4), 0)
     rng = rng_for(0xAC3)
     batch = build_semi_batch(rng.normal(size=(3, 3)), one_hot(np.array([0, 1, 2]), 3),
                              rng.normal(size=(4, 3)), rng.dirichlet(np.ones(3), size=4),
                              4.0, rng)
-    e2e = check_gradients(lambda: semi_loss(m, batch, SslHyper(), 2.0)[3],
+    e2e = check_gradients(lambda: semi_loss(m, *batch, SslHyper(), 2.0)[3],
                           list(m.params().values()), tol=1e-5, max_entries=4)
     elapsed = time.time() - start
     ok = elapsed < 60.0
@@ -116,17 +116,17 @@ def test_criterion_2_contrastive_oracles():
         rng = rng_for(0xAC4, case)
         k = int(rng.integers(2, 9))
         dim = int(rng.integers(2, 17))
-        v = random_view_batch(rng, k, dim, num_classes=3)
+        z, labels = random_view_batch(rng, k, dim, num_classes=3)
         tau = float(rng.uniform(0.05, 2.0))
-        worst = max(worst, abs(self_con_loss(v, tau).item()
-                               - brute_self_con(v.z.data, v.source_index, tau)))
-        worst = max(worst, abs(sup_con_loss(v, tau).item()
-                               - brute_sup_con(v.z.data, v.labels, tau)))
+        worst = max(worst, abs(self_con_loss(z, tau).item()
+                               - brute_self_con(z.data, np.repeat(np.arange(k), 2), tau)))
+        worst = max(worst, abs(sup_con_loss(z, labels, tau).item()
+                               - brute_sup_con(z.data, np.repeat(labels, 2), tau)))
     # supervised loss reduces to the self-supervised one when every source
     # carries a unique label
-    v = random_view_batch(rng_for(0xAC5), 5, 6)
-    v.labels = np.repeat(np.arange(5), 2)
-    reduction_gap = abs(sup_con_loss(v, 0.3).item() - self_con_loss(v, 0.3).item())
+    z, _ = random_view_batch(rng_for(0xAC5), 5, 6)
+    reduction_gap = abs(sup_con_loss(z, np.arange(5), 0.3).item()
+                        - self_con_loss(z, 0.3).item())
     ok = worst <= 1e-10 and reduction_gap <= 1e-12
     report("2 (contrastive oracles)", ok,
            f"worst brute-force gap {worst:.2e}, reduction gap {reduction_gap:.2e}")

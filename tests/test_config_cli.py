@@ -45,10 +45,19 @@ label_correction_epochs = 2
 """
 
 
+def small_config(extra=""):
+    """SMALL_CONFIG with each ``key = value`` line of ``extra`` in place of
+    its own line for that key, since a file may set a key only once."""
+    given = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in SMALL_CONFIG.splitlines()
+            if line.partition("=")[0].strip() not in given]
+    return "\n".join(kept) + "\n" + extra
+
+
 def write_config(tmp_path, extra=""):
     path = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
-    path.write_text(SMALL_CONFIG + f"out_dir = {out_dir}\n" + extra)
+    path.write_text(small_config(f"out_dir = {out_dir}\n" + extra))
     return str(path), str(out_dir)
 
 
@@ -69,6 +78,13 @@ def test_comments_and_spacing():
 def test_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="line 3: unknown key 'typo_key'"):
         parse_config_text("lr = 0.1\n\ntypo_key = 5\n")
+
+
+def test_repeated_key_reports_both_lines():
+    with pytest.raises(ConfigError, match="line 3: 'lr' is already set on line 1"):
+        parse_config_text("lr = 0.1\n# retuned\n  lr = 0.5  # typo\n")
+    with pytest.raises(ConfigError, match="line 2: 'mode'"):
+        parse_config_text("mode = sup\nmode = sup\n")
 
 
 def test_bad_value_reports_line_and_key():
@@ -106,7 +122,7 @@ def test_make_dataset_and_train_config(tmp_path):
 
 
 def test_asymmetric_dataset_uses_adjacent_pairs():
-    values = parse_config_text(SMALL_CONFIG + "noise_kind = asymmetric\n")
+    values = parse_config_text(small_config("noise_kind = asymmetric\n"))
     ds = make_dataset(values)
     flipped = ds.flip_mask
     pairs = {0: 1, 1: 0, 2: 0}
@@ -231,6 +247,19 @@ def test_cli_train_ce_with_pretrained_exits_2_before_the_run_dir(tmp_path, capsy
     assert main(["train", cfg, "--mode", "ce", "--pretrained", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "--pretrained" in err
+    assert not os.path.exists(out_dir)
+
+
+def test_cli_train_dividemix_with_pretrained_exits_2_before_the_run_dir(tmp_path, capsys):
+    """dividemix is bare phase 2 without pre-training, so a checkpoint for
+    it is a usage error too."""
+    cfg, out_dir = write_config(tmp_path)
+    ckpt = tmp_path / "empty.ckpt"
+    ckpt.write_bytes(MAGIC)
+    assert main(["train", cfg, "--mode", "dividemix", "--pretrained", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--pretrained" in err
+    assert "dividemix" in err
     assert not os.path.exists(out_dir)
 
 

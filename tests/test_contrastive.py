@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codim.contrastive import (AugmentSpec, ViewBatch, augment, make_view_batch,
-                               self_con_loss, sup_con_loss)
-from codim.errors import DegenerateInputError, ParameterError
+from codim import tensor as T
+from codim.contrastive import (AugmentSpec, augment, make_view_batch, self_con_loss,
+                               sup_con_loss)
+from codim.errors import DegenerateInputError, DimensionError, ParameterError
 from codim.models import Arch, ModelTriple
 from codim.tensor import Tensor
 
@@ -16,13 +17,14 @@ from conftest import check_gradients, rng_for
 
 
 def random_view_batch(rng, k, dim, num_classes=None):
+    """2k random unit rows as a leaf tensor, views 2i and 2i + 1 of source
+    i, and one label per source (None without ``num_classes``)."""
     z = rng.normal(size=(2 * k, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     labels = None
     if num_classes is not None:
-        labels = np.repeat(rng.integers(0, num_classes, size=k), 2)
-    return ViewBatch(z=Tensor(z, requires_grad=True),
-                     source_index=np.repeat(np.arange(k), 2), labels=labels)
+        labels = rng.integers(0, num_classes, size=k)
+    return Tensor(z, requires_grad=True), labels
 
 
 def brute_self_con(z, source_index, tau):
@@ -55,26 +57,22 @@ def brute_sup_con(z, labels, tau):
 def test_self_con_orthonormal_hand_value():
     # 2 sources, views = 4 orthonormal rows: every similarity is 0 except
     # self (masked out), so each anchor sees uniform odds over 3 candidates.
-    v = ViewBatch(z=Tensor(np.eye(4)), source_index=np.array([0, 0, 1, 1]))
-    assert self_con_loss(v, tau=1.0).item() == pytest.approx(np.log(3.0), abs=1e-12)
+    assert self_con_loss(Tensor(np.eye(4)), tau=1.0).item() == pytest.approx(np.log(3.0), abs=1e-12)
 
 
 def test_sup_con_orthonormal_hand_value():
-    v = ViewBatch(z=Tensor(np.eye(4)), source_index=np.array([0, 0, 1, 1]),
-                  labels=np.array([0, 0, 0, 0]))
     # all views share a label: mean positive similarity 0, denominator log 3
-    assert sup_con_loss(v, tau=1.0).item() == pytest.approx(np.log(3.0), abs=1e-12)
+    assert sup_con_loss(Tensor(np.eye(4)), np.array([0, 0]), tau=1.0).item() == pytest.approx(np.log(3.0), abs=1e-12)
 
 
 def test_self_con_identical_views_hand_value():
     # sibling is a perfect match at similarity 1/tau; the two other rows are
     # orthogonal
     z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    v = ViewBatch(z=Tensor(z), source_index=np.array([0, 0, 1, 1]))
     tau = 0.5
     denom = np.exp(1.0 / tau) + 2.0 * np.exp(0.0)
     want = -(1.0 / tau - np.log(denom))
-    assert self_con_loss(v, tau).item() == pytest.approx(want, abs=1e-12)
+    assert self_con_loss(Tensor(z), tau).item() == pytest.approx(want, abs=1e-12)
 
 
 # ------------------------------------------------------------ oracles
@@ -84,14 +82,14 @@ def test_losses_match_brute_force_on_50_random_batches():
         rng = rng_for(0xB0, case)
         k = int(rng.integers(2, 9))
         dim = int(rng.integers(2, 17))
-        v = random_view_batch(rng, k, dim, num_classes=3)
+        z, labels = random_view_batch(rng, k, dim, num_classes=3)
         tau = float(rng.uniform(0.05, 2.0))
-        got_self = self_con_loss(v, tau).item()
-        want_self = brute_self_con(v.z.data, v.source_index, tau)
+        got_self = self_con_loss(z, tau).item()
+        want_self = brute_self_con(z.data, np.repeat(np.arange(k), 2), tau)
         assert abs(got_self - want_self) <= 1e-10
-        if np.unique(v.labels).size < 2 * k:  # at least one positive exists
-            got_sup = sup_con_loss(v, tau).item()
-            want_sup = brute_sup_con(v.z.data, v.labels, tau)
+        if np.unique(labels).size < 2 * k:  # at least one positive exists
+            got_sup = sup_con_loss(z, labels, tau).item()
+            want_sup = brute_sup_con(z.data, np.repeat(labels, 2), tau)
             assert abs(got_sup - want_sup) <= 1e-10
 
 
@@ -102,33 +100,32 @@ def test_sup_con_reduces_to_self_con_with_distinct_labels():
     for case in range(10):
         rng = rng_for(0xB1, case)
         k = int(rng.integers(2, 8))
-        v = random_view_batch(rng, k, 8)
-        v.labels = np.repeat(np.arange(k), 2)
-        a = self_con_loss(v, 0.3).item()
-        b = sup_con_loss(v, 0.3).item()
+        z, _ = random_view_batch(rng, k, 8)
+        a = self_con_loss(z, 0.3).item()
+        b = sup_con_loss(z, np.arange(k), 0.3).item()
         assert a == pytest.approx(b, abs=1e-14)
 
 
 def test_losses_invariant_to_view_permutation():
     rng = rng_for(0xB2)
-    v = random_view_batch(rng, 6, 5, num_classes=3)
-    base_self = self_con_loss(v, 0.4).item()
-    base_sup = sup_con_loss(v, 0.4).item()
+    z, labels = random_view_batch(rng, 6, 5, num_classes=3)
+    base_self = self_con_loss(z, 0.4).item()
+    base_sup = sup_con_loss(z, labels, 0.4).item()
+    sources, view_labels = np.repeat(np.arange(6), 2), np.repeat(labels, 2)
     for _ in range(5):
         perm = rng.permutation(12)
-        pv = ViewBatch(z=Tensor(v.z.data[perm]), source_index=v.source_index[perm],
-                       labels=v.labels[perm])
-        assert abs(self_con_loss(pv, 0.4).item() - base_self) <= 1e-12
-        assert abs(sup_con_loss(pv, 0.4).item() - base_sup) <= 1e-12
+        pz = z.data[perm]
+        assert abs(T.info_nce(pz, sources[perm], 0.4).item() - base_self) <= 1e-12
+        assert abs(T.info_nce(pz, view_labels[perm], 0.4).item() - base_sup) <= 1e-12
 
 
 def test_sup_con_skips_anchor_without_positives():
     rng = rng_for(0xB3)
-    v = random_view_batch(rng, 3, 4)
-    v.source_index = np.array([0, 1, 2, 3, 4, 5])  # no sibling pairs
-    v.labels = np.array([0, 0, 1, 2, 3, 4])  # only the first two share a label
-    got = sup_con_loss(v, 0.7).item()
-    want = brute_sup_con(v.z.data, v.labels, 0.7)
+    z, _ = random_view_batch(rng, 3, 4)
+    # no sibling pairs: only the first two rows share a key
+    keys = np.array([0, 0, 1, 2, 3, 4])
+    got = T.info_nce(z, keys, 0.7).item()
+    want = brute_sup_con(z.data, keys, 0.7)
     assert got == pytest.approx(want, abs=1e-12)
     assert np.isfinite(got)
 
@@ -139,13 +136,13 @@ def test_losses_at_tiny_tau_match_brute_force_and_stay_finite():
     anchor's log-sum-exp by its own largest term."""
     tau = 1e-3
     for case in range(5):
-        v = random_view_batch(rng_for(0xB6, case), 6, 4, num_classes=3)
-        z = v.z.data
-        sim = z @ z.T / tau
-        for loss, keys in ((self_con_loss, v.source_index), (sup_con_loss, v.labels)):
+        z, labels = random_view_batch(rng_for(0xB6, case), 6, 4, num_classes=3)
+        sim = z.data @ z.data.T / tau
+        for loss, keys in ((lambda: self_con_loss(z, tau), np.repeat(np.arange(6), 2)),
+                           (lambda: sup_con_loss(z, labels, tau), np.repeat(labels, 2))):
             want, anchors = 0.0, 0
-            for i in range(len(z)):
-                others = [j for j in range(len(z)) if j != i]
+            for i in range(len(z.data)):
+                others = [j for j in range(len(z.data)) if j != i]
                 positives = [j for j in others if keys[j] == keys[i]]
                 if not positives:
                     continue
@@ -153,50 +150,49 @@ def test_losses_at_tiny_tau_match_brute_force_and_stay_finite():
                 lse = top + np.log(sum(np.exp(sim[i, j] - top) for j in others))
                 want += lse - sum(sim[i, j] for j in positives) / len(positives)
                 anchors += 1
-            v.z.grad = None
-            out = loss(v, tau)
+            z.grad = None
+            out = loss()
             out.backward()
             assert out.item() == pytest.approx(want / anchors, rel=1e-12)
-            assert np.isfinite(v.z.grad).all()
+            assert np.isfinite(z.grad).all()
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.5, float("nan"), 1e-320, float("inf")])
 def test_tau_without_a_finite_inverse_rejected(tau):
     """nan and 1e-320 gave nan, inf a constant loss with zero gradient."""
-    v = random_view_batch(rng_for(0xB7), 4, 3, num_classes=2)
-    for loss in (self_con_loss, sup_con_loss):
+    z, labels = random_view_batch(rng_for(0xB7), 4, 3, num_classes=2)
+    for loss in (lambda: self_con_loss(z, tau), lambda: sup_con_loss(z, labels, tau)):
         with pytest.raises(ParameterError, match="tau"):
-            loss(v, tau)
+            loss()
 
 
 def test_contrastive_losses_finite_difference():
     for case in range(20):
         rng = rng_for(0xB4, case)
-        v = random_view_batch(rng, 4, 5, num_classes=2)
-        check_gradients(lambda: self_con_loss(v, 0.5), [v.z])
-        check_gradients(lambda: sup_con_loss(v, 0.5), [v.z])
+        z, labels = random_view_batch(rng, 4, 5, num_classes=2)
+        check_gradients(lambda: self_con_loss(z, 0.5), [z])
+        check_gradients(lambda: sup_con_loss(z, labels, 0.5), [z])
 
 
 def test_loss_validation():
     rng = rng_for(0xB5)
-    v = random_view_batch(rng, 4, 3)
+    z, _ = random_view_batch(rng, 4, 3)
     with pytest.raises(ParameterError):
-        self_con_loss(v, 0.0)
+        self_con_loss(z, 0.0)
     with pytest.raises(DegenerateInputError):
-        self_con_loss(random_view_batch(rng, 1, 3), 0.5)
+        self_con_loss(random_view_batch(rng, 1, 3)[0], 0.5)
+    with pytest.raises(DimensionError):
+        sup_con_loss(z, np.arange(3), 0.5)  # one label short
     with pytest.raises(DegenerateInputError):
-        sup_con_loss(v, 0.5)  # no labels
-    v.labels = np.arange(8)  # nobody has a positive
-    with pytest.raises(DegenerateInputError):
-        sup_con_loss(v, 0.5)
+        T.info_nce(z, np.arange(8), 0.5)  # nobody has a positive
 
 
 @settings(max_examples=25, deadline=None)
 @given(k=st.integers(2, 6), dim=st.integers(2, 8),
        tau=st.floats(0.05, 3.0), seed=st.integers(0, 10_000))
 def test_self_con_positive_and_finite(k, dim, tau, seed):
-    v = random_view_batch(rng_for(seed), k, dim)
-    val = self_con_loss(v, tau).item()
+    z, _ = random_view_batch(rng_for(seed), k, dim)
+    val = self_con_loss(z, tau).item()
     assert np.isfinite(val)
     # lse over >=3 candidates strictly exceeds the single positive term
     assert val > 0.0
@@ -241,12 +237,14 @@ def test_make_view_batch_interleaves_pairs():
                 proj_dim=16)
     m = ModelTriple(arch, seed=0)
     x = rng_for(2).normal(size=(5, 3))
-    labels = np.array([0, 1, 0, 1, 1])
-    vb = make_view_batch(m, x, labels, AugmentSpec(), rng_for(3))
-    assert vb.num_views == 10
-    assert np.array_equal(vb.source_index, np.repeat(np.arange(5), 2))
-    assert np.array_equal(vb.labels, np.repeat(labels, 2))
+    z = make_view_batch(m, x, AugmentSpec(), rng_for(3))
+    assert z.data.shape == (10, 16)
+    # row k's views sit at 2k and 2k + 1, in the order they were drawn
+    rng = rng_for(3)
+    for first in (0, 1):
+        want = m.forward_projection(augment(x, AugmentSpec(), "strong", rng)).data
+        assert np.allclose(z.data[first::2], want, atol=1e-12)
     # rows are unit-norm projections
-    assert np.allclose((vb.z.data ** 2).sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose((z.data ** 2).sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(DegenerateInputError):
-        make_view_batch(m, np.zeros((0, 3)), None, AugmentSpec(), rng_for(4))
+        make_view_batch(m, np.zeros((0, 3)), AugmentSpec(), rng_for(4))

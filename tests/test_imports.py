@@ -1,7 +1,9 @@
 """Every name a module under src/codim, tests/ or scripts/ imports is used in
 that module, every module-level private name a module under src/codim or
-scripts/ defines is referenced elsewhere in it, and every codim name the
-benchmark under bench/ calls or expects to see traced still resolves."""
+scripts/ defines is referenced elsewhere in it, every public top-level
+function and class of src/codim has a reader outside tests/, and every codim
+name the benchmark under bench/ calls or expects to see traced still
+resolves."""
 
 import ast
 import importlib
@@ -83,6 +85,47 @@ def test_detects_dead_private_name():
 @pytest.mark.parametrize("path", CODE, ids=path_id)
 def test_no_dead_private_names(path):
     assert dead_private_names(path.read_text(encoding="utf-8")) == []
+
+
+# public names that only tests reach, each with the ROADMAP item that gives
+# it a caller or removes it
+UNCALLED = {"load_idx": "item 8", "write_idx_images": "item 8",
+            "write_idx_labels": "item 8", "partition_quality": "item 3"}
+
+
+def uncalled_public_names(defining: list[str], calling: list[str]) -> list[str]:
+    """The public top-level functions and classes of the ``defining``
+    sources that no statement of the ``calling`` sources reads, as a name or
+    an attribute, other than the one that defines it."""
+    public, read = set(), set()
+    for source in calling:
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    read.add(name)
+    for source in defining:
+        public.update(stmt.name for stmt in ast.parse(source).body
+                      if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                      and not stmt.name.startswith("_"))
+    return sorted(public - read)
+
+
+def test_detects_uncalled_public_name():
+    defining = ("class Spec:\n    pass\n\n"
+                "def run():\n    return run()\n\n"
+                "def _helper():\n    pass\n")
+    assert uncalled_public_names([defining], [defining]) == ["Spec", "run"]
+    assert uncalled_public_names([defining], [defining, "m.run(Spec())\n"]) == []
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """Each name in UNCALLED must still lack a caller, so the list cannot
+    outlive the ROADMAP item that settles it."""
+    defining = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
+    calling = [path.read_text(encoding="utf-8") for path in CODE + list(BENCH.glob("*.py"))]
+    assert uncalled_public_names(defining, calling) == sorted(UNCALLED)
 
 
 def codim_attribute_chains(source: str) -> set[str]:

@@ -7,9 +7,8 @@ import scipy.stats
 
 from codim.contrastive import AugmentSpec, augment
 from codim.errors import DegenerateInputError, ParameterError
-from codim.mixmatch import (SemiBatch, SslHyper, build_semi_batch, co_refine,
-                            guess_labels, mean_weak_proba, mixup, one_hot,
-                            semi_loss, sharpen)
+from codim.mixmatch import (SslHyper, build_semi_batch, co_refine, guess_labels,
+                            mean_weak_proba, mixup, one_hot, semi_loss, sharpen)
 from codim.models import Arch, DuoModel, ModelTriple
 
 from conftest import check_gradients, rng_for
@@ -146,32 +145,31 @@ def test_build_semi_batch_bookkeeping():
     p_lab = one_hot(np.array([0, 1, 2, 0]), 3)
     x_unl = rng.normal(size=(5, 3))
     p_unl = rng.dirichlet(np.ones(3), size=5)
-    batch = build_semi_batch(x_lab, p_lab, x_unl, p_unl, 4.0, rng)
-    assert batch.mixed_x.shape == (9, 3)
-    assert batch.is_labeled.sum() == 4
-    assert batch.is_labeled[:4].all() and not batch.is_labeled[4:].any()
-    assert np.allclose(batch.mixed_targets.sum(axis=1), 1.0, atol=1e-12)
+    mixed_x, mixed_targets, is_labeled = build_semi_batch(x_lab, p_lab, x_unl, p_unl,
+                                                          4.0, rng)
+    assert mixed_x.shape == (9, 3)
+    assert is_labeled.sum() == 4
+    assert is_labeled[:4].all() and not is_labeled[4:].any()
+    assert np.allclose(mixed_targets.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_semi_batch_target_contract():
     with pytest.raises(DegenerateInputError):
-        SemiBatch(mixed_x=np.zeros((2, 2)),
-                  mixed_targets=np.array([[0.5, 0.2], [0.5, 0.5]]),
-                  is_labeled=np.array([True, False]))
+        build_semi_batch(np.zeros((2, 2)), np.array([[0.5, 0.2], [0.5, 0.5]]),
+                         np.zeros((0, 2)), np.zeros((0, 2)), 4.0, rng_for(0xC8))
 
 
 # ------------------------------------------------------------- semi loss
 
-def manual_semi_loss(m, batch, hyper, epoch):
-    probs = m.predict_proba(batch.mixed_x)
-    lab = batch.is_labeled
-    lx = -np.mean((batch.mixed_targets[lab]
+def manual_semi_loss(m, x, targets, lab, hyper, epoch):
+    probs = m.predict_proba(x)
+    lx = -np.mean((targets[lab]
                    * np.log(probs[lab])).sum(axis=1))
     if (~lab).any():
-        lu = np.mean((probs[~lab] - batch.mixed_targets[~lab]) ** 2)
+        lu = np.mean((probs[~lab] - targets[~lab]) ** 2)
     else:
         lu = 0.0
-    pi = 1.0 / batch.mixed_targets.shape[1]
+    pi = 1.0 / targets.shape[1]
     mean_pred = probs.mean(axis=0)
     lreg = np.sum(pi * (np.log(pi) - np.log(mean_pred)))
     ramp = hyper.lambda_u * min(max(epoch / hyper.warmup_ramp_epochs, 0.0), 1.0) \
@@ -186,8 +184,8 @@ def test_semi_loss_matches_numpy_oracle():
     batch = build_semi_batch(rng.normal(size=(4, 3)), one_hot(np.array([0, 1, 2, 1]), 3),
                              rng.normal(size=(6, 3)), rng.dirichlet(np.ones(3), size=6),
                              4.0, rng)
-    lx, lu, lreg, total = semi_loss(duo.net_a, batch, hyper, epoch=3.0)
-    mx, mu, mreg, mtotal = manual_semi_loss(duo.net_a, batch, hyper, 3.0)
+    lx, lu, lreg, total = semi_loss(duo.net_a, *batch, hyper, epoch=3.0)
+    mx, mu, mreg, mtotal = manual_semi_loss(duo.net_a, *batch, hyper, 3.0)
     assert lx == pytest.approx(mx, abs=1e-10)
     assert lu == pytest.approx(mu, abs=1e-10)
     assert lreg == pytest.approx(mreg, abs=1e-10)
@@ -196,11 +194,9 @@ def test_semi_loss_matches_numpy_oracle():
 
 def test_semi_loss_requires_labeled_rows():
     duo = make_duo()
-    batch = SemiBatch(mixed_x=np.zeros((2, 3)),
-                      mixed_targets=np.full((2, 3), 1.0 / 3.0),
-                      is_labeled=np.array([False, False]))
     with pytest.raises(DegenerateInputError):
-        semi_loss(duo.net_a, batch, SslHyper(), 0.0)
+        semi_loss(duo.net_a, np.zeros((2, 3)), np.full((2, 3), 1.0 / 3.0),
+                  np.array([False, False]), SslHyper(), 0.0)
 
 
 def test_semi_loss_end_to_end_gradient():
@@ -211,7 +207,7 @@ def test_semi_loss_end_to_end_gradient():
                              rng.normal(size=(4, 3)), rng.dirichlet(np.ones(3), size=4),
                              4.0, rng)
     params = list(duo.net_a.params().values())
-    check_gradients(lambda: semi_loss(duo.net_a, batch, hyper, 2.0)[3],
+    check_gradients(lambda: semi_loss(duo.net_a, *batch, hyper, 2.0)[3],
                     params, tol=1e-5, max_entries=6)
 
 

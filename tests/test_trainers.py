@@ -6,7 +6,7 @@ import pytest
 from codim import trainers
 from codim.contrastive import make_view_batch, self_con_loss, sup_con_loss
 from codim.data import BlobSpec, gen_blobs
-from codim.errors import DegenerateInputError, ParameterError
+from codim.errors import DegenerateInputError, DimensionError, ParameterError
 from codim.models import ModelTriple
 from codim.noise import NoiseSpec, Partition
 from codim.trainers import (RUN_RECORD_HEADER, CodimTrainer, TrainConfig,
@@ -162,9 +162,8 @@ def test_contrastive_terms_rule(mode, kinds):
             rows = x_lab if kind == "sup" or mode == "self" else x_unl
             if weight == 0 or len(rows) < 2:
                 continue
-            row_labels = labels[:len(rows)] if kind == "sup" else None
-            views = make_view_batch(net, rows, row_labels, cfg.aug, rng)
-            loss = (sup_con_loss(views, cfg.tau3) if kind == "sup"
+            views = make_view_batch(net, rows, cfg.aug, rng)
+            loss = (sup_con_loss(views, labels[:len(rows)], cfg.tau3) if kind == "sup"
                     else self_con_loss(views, cfg.tau2))
             out.append((weight, loss.item()))
         return out
@@ -315,6 +314,21 @@ def test_train_cssl_runs():
     net, record = train_cssl(ds, mask, small_config(mode="cssl"))
     assert len(record.rows) == 2
     assert record.best_acc > 0.3  # it learned something
+
+
+@pytest.mark.parametrize("mask, error", [
+    (lambda n: np.ones(n + 1, dtype=bool), DimensionError),  # one flag too many
+    (lambda n: np.ones(n - 1, dtype=bool), DimensionError),  # one flag short
+    (lambda n: np.zeros(n, dtype=bool), DegenerateInputError),  # no labeled row
+], ids=["long", "short", "none-labeled"])
+def test_train_cssl_rejects_bad_mask_before_pretraining(monkeypatch, mask, error):
+    def pretrain(*args):
+        raise AssertionError("pre-training ran")
+
+    monkeypatch.setattr(trainers, "pretrain_selfcon", pretrain)
+    ds = small_dataset(noisy=False)
+    with pytest.raises(error, match="labeled_mask"):
+        train_cssl(ds, mask(ds.n), small_config(mode="cssl"))
 
 
 def test_label_correction_leaves_model_untouched():
