@@ -44,8 +44,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import numpy as np
-
 from codim.contrastive import AugmentSpec
 from codim.data import BlobSpec, gen_blobs
 from codim.metrics import write_csv
@@ -93,16 +91,13 @@ def blobs_2d(seed: int) -> dict:
 
 def cssl(seed: int) -> dict:
     ds = gen_blobs(BlobSpec(4, 2, 30, 2.5, 1.0, seed=seed))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x20])))
-    labeled = np.zeros(ds.n, dtype=bool)
-    labeled[rng.choice(ds.n, size=max(1, round(0.2 * ds.n)), replace=False)] = True
 
     def best(lam: float, pretrain: bool) -> float:
         cfg = TrainConfig(mode="cssl", seed=seed, epochs=20,
                           pretrain_steps=500 if pretrain else 0,
                           lambda_sup=lam, lambda_self=lam, warmup_epochs=0,
-                          aug=NO_MASK_AUG)
-        return train_cssl(ds, labeled, cfg)[1].best_acc
+                          aug=NO_MASK_AUG, labeled_ratio=0.2)
+        return train_cssl(ds, cfg)[1].best_acc
 
     return dict(plain_ssl=best(0.0, False), cssl=best(1.0, True),
                 cssl_no_pre=best(1.0, False))

@@ -37,41 +37,32 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    if len(blob) < 8:
-        raise CheckpointError("truncated version at offset 4")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    view, offset = memoryview(blob), 4
+
+    def take(nbytes: int, what: str) -> memoryview:
+        """The next ``nbytes`` bytes, which hold ``what``; past the end of the
+        file they raise, naming ``what`` and the offset where it starts."""
+        nonlocal offset
+        if offset + nbytes > len(blob):
+            raise CheckpointError(f"truncated {what} at offset {offset}")
+        offset += nbytes
+        return view[offset - nbytes:offset]
+
+    (version,) = struct.unpack("<I", take(4, "version"))
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     params: dict[str, np.ndarray] = {}
-    offset = 8
-    total = len(blob)
-    while offset < total:
-        if offset + 4 > total:
-            raise CheckpointError(f"truncated name length at offset {offset}")
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if offset + name_len > total:
-            raise CheckpointError(f"truncated name at offset {offset}")
+    while offset < len(blob):
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        start = offset
         try:
-            name = blob[offset:offset + name_len].decode("utf-8")
+            name = str(take(name_len, "name"), "utf-8")
         except UnicodeDecodeError as exc:
-            raise CheckpointError(f"name at offset {offset} is not UTF-8") from exc
+            raise CheckpointError(f"name at offset {start} is not UTF-8") from exc
         if name in params:
-            raise CheckpointError(f"duplicate name {name!r} at offset {offset}")
-        offset += name_len
-        if offset + 4 > total:
-            raise CheckpointError(f"truncated rank at offset {offset}")
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if offset + 4 * rank > total:
-            raise CheckpointError(f"truncated dims at offset {offset}")
-        dims = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
-        count = math.prod(dims)
-        nbytes = 8 * count
-        if offset + nbytes > total:
-            raise CheckpointError(f"truncated payload at offset {offset}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(dims)
-        params[name] = arr.astype(np.float64).copy()
-        offset += nbytes
+            raise CheckpointError(f"duplicate name {name!r} at offset {start}")
+        (rank,) = struct.unpack("<I", take(4, "rank"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+        payload = take(8 * math.prod(dims), "payload")
+        params[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
     return params

@@ -61,10 +61,18 @@ def _prepare_run_dir(values: dict) -> str:
     return out_dir
 
 
-def cmd_gen(args) -> int:
+def _load_run(args, **overrides):
+    """The config at ``args.config`` with each override that is not None set
+    in it, its dataset and its training config, as ``(values, dataset, cfg)``.
+    Every command checks its config this way, so a config that cannot train
+    is rejected before any run directory is written."""
     values = load_config(args.config)
-    ds = make_dataset(values)
-    make_train_config(values)  # a config that cannot train is rejected here too
+    values.update((key, v) for key, v in overrides.items() if v is not None)
+    return values, make_dataset(values), make_train_config(values)
+
+
+def cmd_gen(args) -> int:
+    values, ds, _ = _load_run(args)
     out_dir = _prepare_run_dir(values)
     header = (["index"] + [f"x{i}" for i in range(ds.dim)]
               + ["clean_label", "noisy_label", "flip"])
@@ -81,9 +89,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    values = load_config(args.config)
-    ds = make_dataset(values)
-    cfg = make_train_config(values)
+    values, ds, cfg = _load_run(args)
     out_dir = _prepare_run_dir(values)
     model = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=cfg.seed)
     losses = pretrain_selfcon(ds, model, cfg)
@@ -97,13 +103,9 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = load_config(args.config)
-    if args.mode is not None:
-        values["mode"] = args.mode  # the snapshot records the mode that runs
-    ds = make_dataset(values)
+    values, ds, cfg = _load_run(args, mode=args.mode)  # the snapshot records the mode
     if len(ds.test_labels) < 3:  # the embedding export needs 3 rows
         raise ConfigError("samples_per_class and num_classes leave < 3 test rows")
-    cfg = make_train_config(values)
     if args.pretrained and values["mode"] in ("ce", "dividemix"):
         raise ConfigError(f"--pretrained needs a pre-trained mode; {values['mode']} "
                           "trains from scratch")
@@ -126,24 +128,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_cssl(args) -> int:
-    values = load_config(args.config)
-    if args.labeled_ratio is not None:
-        values["labeled_ratio"] = args.labeled_ratio
-    if not 0.0 < values["labeled_ratio"] <= 1.0:
-        raise ConfigError("labeled_ratio must be in (0, 1]")
-    values["noise_kind"] = "none"  # trusted-label setting
-    values["mode"] = "cssl"  # what train_cssl runs
-    ds = make_dataset(values)
-    cfg = make_train_config(values)
+    # trusted labels, and the snapshot records the mode that train_cssl runs
+    values, ds, cfg = _load_run(args, labeled_ratio=args.labeled_ratio,
+                                noise_kind="none", mode="cssl")
     out_dir = _prepare_run_dir(values)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    mask = np.zeros(ds.n, dtype=bool)
-    n_lab = max(1, int(round(values["labeled_ratio"] * ds.n)))
-    mask[rng.choice(ds.n, size=n_lab, replace=False)] = True
-    net, record = train_cssl(ds, mask, cfg)
+    net, record = train_cssl(ds, cfg)
     record.to_csv(os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(os.path.join(out_dir, "net_a.ckpt"), net.state_dict())
-    print(f"labeled_ratio={values['labeled_ratio']}  "
+    print(f"labeled_ratio={cfg.labeled_ratio}  "
           f"Best: {100 * record.best_acc:.2f}  Last: {100 * record.last_acc:.2f}")
     return 0
 

@@ -72,7 +72,6 @@ SCHEMA: dict[str, tuple] = {
             mode={"mode": (_choice(*MODES, *MODE_ALIASES), TrainConfig.mode)},
             feat_hidden={"feat_hidden": (str, ",".join(map(str, TrainConfig.feat_hidden)))}),
     # run
-    "labeled_ratio": (float, 0.2),
     "out_dir": (str, "runs/default"),
 }
 

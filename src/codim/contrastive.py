@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, DimensionError, ParameterError
 from .models import ModelTriple
 from .tensor import Tensor
 
@@ -59,6 +59,9 @@ def augment(x: np.ndarray, spec: AugmentSpec, strength: str,
 
 def _check_batch(z: Tensor, tau: float):
     ParameterError.check_value("tau", tau, "invertible")
+    if z.data.shape[0] % 2:
+        raise DimensionError(f"contrastive loss: {z.data.shape[0]} rows are not two "
+                             "views per source")
     if z.data.shape[0] < 4:
         raise DegenerateInputError("contrastive loss needs K >= 2 source samples")
 
@@ -74,6 +77,10 @@ def sup_con_loss(z: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     anchor's label, ``labels`` holding one class id per source row; anchors
     without a positive are skipped, so it is never NaN."""
     _check_batch(z, tau)
+    labels = np.asarray(labels)
+    if labels.shape != (z.data.shape[0] // 2,):
+        raise DimensionError(f"sup_con_loss: labels {labels.shape} for "
+                             f"{z.data.shape[0] // 2} source rows")
     return T.info_nce(z, np.repeat(labels, 2), tau)
 
 

@@ -12,8 +12,8 @@ from . import tensor as T
 from .contrastive import (AugmentSpec, augment, make_view_batch, self_con_loss,
                           sup_con_loss)
 from .data import Dataset
-from .errors import DegenerateInputError, DimensionError, ParameterError
-from .metrics import auc_score, consistency_metric, test_accuracy
+from .errors import DegenerateInputError, ParameterError
+from .metrics import auc_score, consistency_metric, test_accuracy, write_csv
 from .mixmatch import (SslHyper, build_semi_batch, co_refine, guess_labels,
                        mean_weak_proba, one_hot, semi_loss)
 from .models import Arch, DuoModel, Mlp, ModelTriple
@@ -50,6 +50,7 @@ class TrainConfig:
     proj_hidden: int = 64
     proj_dim: int = 16
     seed: int = 0
+    labeled_ratio: float = 0.2
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -67,6 +68,8 @@ class TrainConfig:
                              "lambda_self")
         if not 0.0 <= self.gmm_threshold <= 1.0:
             raise ParameterError(f"gmm_threshold = {self.gmm_threshold} is outside [0, 1]")
+        if not 0.0 < self.labeled_ratio <= 1.0:
+            raise ParameterError(f"labeled_ratio = {self.labeled_ratio} is outside (0, 1]")
 
     def arch(self, input_dim: int, num_classes: int) -> Arch:
         return Arch(input_dim=input_dim, num_classes=num_classes,
@@ -112,7 +115,6 @@ class RunRecord:
         return self.rows[-1].test_acc_ens
 
     def to_csv(self, path):
-        from .metrics import write_csv
         write_csv(path, RUN_RECORD_HEADER,
                   ([r.epoch, *(repr(getattr(r, k)) for k in RUN_RECORD_HEADER[1:])]
                    for r in self.rows))
@@ -357,25 +359,22 @@ def train_ce(dataset: Dataset, cfg: TrainConfig) -> tuple[ModelTriple, RunRecord
                            for epoch in range(cfg.epochs)])
 
 
-def train_cssl(dataset: Dataset, labeled_mask: np.ndarray,
-               cfg: TrainConfig) -> tuple[ModelTriple, RunRecord]:
+def train_cssl(dataset: Dataset, cfg: TrainConfig) -> tuple[ModelTriple, RunRecord]:
     """Multi-task contrastive semi-supervised training on trusted labels.
 
     One network; supervised contrastive loss on labeled batches, self
     contrastive loss on unlabeled batches, plus the semi-supervised
-    objective, whose label guesses come from the network alone.
+    objective, whose label guesses come from the network alone. The labeled
+    rows are ``max(1, round(labeled_ratio * n))`` drawn from the seed alone.
     ``lambda_sup == lambda_self == 0`` is the plain-SSL baseline.
     """
-    labeled_mask = np.asarray(labeled_mask, dtype=bool)
-    if labeled_mask.shape != (dataset.n,):
-        raise DimensionError(f"labeled_mask {labeled_mask.shape} for {dataset.n} rows")
-    if not labeled_mask.any():
-        raise DegenerateInputError("labeled_mask marks no labeled row")
+    n_lab = max(1, round(cfg.labeled_ratio * dataset.n))
+    labeled = np.zeros(dataset.n, dtype=bool)
+    labeled[_rng(cfg.seed, 0x20).choice(dataset.n, size=n_lab, replace=False)] = True
+    lab_pool, unl_pool = np.flatnonzero(labeled), np.flatnonzero(~labeled)
     net = ModelTriple(cfg.arch(dataset.dim, dataset.num_classes), seed=cfg.seed)
     pretrain_selfcon(dataset, net, cfg)
     opt = cfg.sgd(net.params())
-    lab_pool = np.flatnonzero(labeled_mask)
-    unl_pool = np.flatnonzero(~labeled_mask)
 
     def step(epoch, it, j):
         rng = _rng(cfg.seed, 0x17, epoch, it)

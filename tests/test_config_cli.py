@@ -24,7 +24,7 @@ from codim.data import BlobSpec, gen_blobs
 from codim.errors import ConfigError
 from codim.mixmatch import SslHyper
 from codim.noise import NoiseSpec, partition_losses
-from codim.trainers import RUN_RECORD_HEADER, TrainConfig
+from codim.trainers import RUN_RECORD_HEADER, TrainConfig, train_cssl
 
 
 SMALL_CONFIG = """
@@ -269,6 +269,27 @@ def test_cli_cssl(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "metrics.csv"))
     assert "labeled_ratio=0.5" in capsys.readouterr().out
     assert main(["cssl", cfg, "--labeled-ratio", "1.5"]) == 2
+
+
+def test_cli_cssl_zero_labeled_ratio_exits_2_before_the_run_dir(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["cssl", cfg, "--labeled-ratio", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "labeled_ratio" in err
+    assert not os.path.exists(out_dir)
+
+
+def test_cli_cssl_trains_what_train_cssl_trains(tmp_path):
+    """codim cssl leaves the labeled subset to train_cssl, so its config
+    snapshot, replayed through the library, gives the same metrics bytes."""
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["cssl", cfg, "--labeled-ratio", "0.3"]) == 0
+    values = load_config(os.path.join(out_dir, "config_resolved.txt"))
+    assert values["labeled_ratio"] == 0.3 and values["noise_kind"] == "none"
+    _, record = train_cssl(make_dataset(values), make_train_config(values))
+    record.to_csv(tmp_path / "library.csv")
+    assert (open(os.path.join(out_dir, "metrics.csv"), "rb").read()
+            == (tmp_path / "library.csv").read_bytes())
 
 
 def test_cli_partition(tmp_path, capsys):

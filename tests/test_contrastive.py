@@ -187,6 +187,26 @@ def test_loss_validation():
         T.info_nce(z, np.arange(8), 0.5)  # nobody has a positive
 
 
+@pytest.mark.parametrize("loss", [
+    lambda z: self_con_loss(z, 0.5),
+    lambda z: sup_con_loss(z, np.array([0, 1]), 0.5),
+], ids=["self", "sup"])
+def test_odd_view_count_rejected(loss):
+    """5 rows are not two views per source: self_con_loss gave 1.699 and
+    left the last row out."""
+    z, _ = random_view_batch(rng_for(0xB8), 3, 3)
+    with pytest.raises(DimensionError, match="5 rows"):
+        loss(Tensor(z.data[:5]))
+
+
+def test_sup_con_labels_must_be_one_per_source():
+    """Labels of shape (2, 2) for 4 sources were flattened into keys that
+    paired views of different sources (2.884)."""
+    z, labels = random_view_batch(rng_for(0xB9), 4, 3, num_classes=2)
+    with pytest.raises(DimensionError, match=r"labels \(2, 2\) for 4 source rows"):
+        sup_con_loss(z, labels.reshape(2, 2), 0.5)
+
+
 @settings(max_examples=25, deadline=None)
 @given(k=st.integers(2, 6), dim=st.integers(2, 8),
        tau=st.floats(0.05, 3.0), seed=st.integers(0, 10_000))

@@ -1,9 +1,9 @@
 """Every name a module under src/codim, tests/ or scripts/ imports is used in
 that module, every module-level private name a module under src/codim or
 scripts/ defines is referenced elsewhere in it, every public top-level
-function and class of src/codim has a reader outside tests/, and every codim
-name the benchmark under bench/ calls or expects to see traced still
-resolves."""
+function and class of src/codim has a reader outside tests/, every random
+stream of the trainers has its own tag, and every codim name the benchmark
+under bench/ calls or expects to see traced still resolves."""
 
 import ast
 import importlib
@@ -126,6 +126,25 @@ def test_every_public_name_has_a_caller_outside_tests():
     defining = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
     calling = [path.read_text(encoding="utf-8") for path in CODE + list(BENCH.glob("*.py"))]
     assert uncalled_public_names(defining, calling) == sorted(UNCALLED)
+
+
+def rng_stream_tags(source: str) -> list[str]:
+    """The tag, the second argument, of each ``_rng(seed, tag, ...)`` call in
+    ``source``, as normalized source text, so 0x20 and 32 read the same."""
+    return [ast.unparse(node.args[1]) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_rng"]
+
+
+def test_detects_rng_stream_tags():
+    source = ("a = _rng(cfg.seed, 0xA1)\nb = _rng(cfg.seed, 161, epoch)\n"
+              "c = other(cfg.seed, 0x17)\n")
+    assert rng_stream_tags(source) == ["161", "161"]
+
+
+def test_trainer_rng_stream_tags_are_distinct():
+    """Two call sites with one tag would draw from one random stream."""
+    tags = rng_stream_tags((SRC / "trainers.py").read_text(encoding="utf-8"))
+    assert tags and sorted(tag for tag in set(tags) if tags.count(tag) > 1) == []
 
 
 def codim_attribute_chains(source: str) -> set[str]:

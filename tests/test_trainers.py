@@ -6,7 +6,7 @@ import pytest
 from codim import trainers
 from codim.contrastive import make_view_batch, self_con_loss, sup_con_loss
 from codim.data import BlobSpec, gen_blobs
-from codim.errors import DegenerateInputError, DimensionError, ParameterError
+from codim.errors import DegenerateInputError, ParameterError
 from codim.models import ModelTriple
 from codim.noise import NoiseSpec, Partition
 from codim.trainers import (RUN_RECORD_HEADER, CodimTrainer, TrainConfig,
@@ -293,8 +293,7 @@ def test_cssl_guesses_labels_with_one_query_of_its_network(monkeypatch):
     monkeypatch.setattr(ModelTriple, "predict_proba", predict)
     monkeypatch.setattr(trainers, "guess_labels", guess)
     ds = small_dataset(noisy=False)
-    net, _ = train_cssl(ds, np.arange(ds.n) % 5 == 0,
-                        small_config(mode="cssl", pretrain_steps=0, epochs=1))
+    net, _ = train_cssl(ds, small_config(mode="cssl", pretrain_steps=0, epochs=1))
     assert guesses == [[net]] * 3
 
 
@@ -309,26 +308,32 @@ def test_train_ce_runs_and_is_deterministic():
 
 def test_train_cssl_runs():
     ds = small_dataset(noisy=False)
-    mask = np.zeros(ds.n, dtype=bool)
-    mask[rng_for(9).choice(ds.n, size=ds.n // 5, replace=False)] = True
-    net, record = train_cssl(ds, mask, small_config(mode="cssl"))
+    net, record = train_cssl(ds, small_config(mode="cssl"))
     assert len(record.rows) == 2
     assert record.best_acc > 0.3  # it learned something
 
 
-@pytest.mark.parametrize("mask, error", [
-    (lambda n: np.ones(n + 1, dtype=bool), DimensionError),  # one flag too many
-    (lambda n: np.ones(n - 1, dtype=bool), DimensionError),  # one flag short
-    (lambda n: np.zeros(n, dtype=bool), DegenerateInputError),  # no labeled row
-], ids=["long", "short", "none-labeled"])
-def test_train_cssl_rejects_bad_mask_before_pretraining(monkeypatch, mask, error):
+def test_train_cssl_with_every_row_labeled(monkeypatch):
+    """labeled_ratio = 1 leaves no unlabeled row: no label is guessed and
+    the unlabeled loss term is 0."""
+    def guess(*args):
+        raise AssertionError("a label was guessed")
+
+    monkeypatch.setattr(trainers, "guess_labels", guess)
+    _, record = train_cssl(small_dataset(noisy=False),
+                           small_config(mode="cssl", labeled_ratio=1.0))
+    assert len(record.rows) == 2 and all(r.loss_u == 0.0 for r in record.rows)
+
+
+@pytest.mark.parametrize("ratio", [0.0, -0.1, 1.5, float("nan")],
+                         ids=["zero", "negative", "above-1", "nan"])
+def test_train_cssl_rejects_bad_ratio_before_pretraining(monkeypatch, ratio):
     def pretrain(*args):
         raise AssertionError("pre-training ran")
 
     monkeypatch.setattr(trainers, "pretrain_selfcon", pretrain)
-    ds = small_dataset(noisy=False)
-    with pytest.raises(error, match="labeled_mask"):
-        train_cssl(ds, mask(ds.n), small_config(mode="cssl"))
+    with pytest.raises(ParameterError, match="labeled_ratio"):
+        train_cssl(small_dataset(noisy=False), small_config(mode="cssl", labeled_ratio=ratio))
 
 
 def test_label_correction_leaves_model_untouched():
