@@ -7,6 +7,7 @@ identical datasets.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -164,7 +165,7 @@ def _read_idx(path, expected_magic: int):
     if len(blob) < header_end:
         raise IdxParseError(f"{path}: truncated dimension sizes at offset 4")
     dims = struct.unpack_from(f">{ndim}I", blob, 4)
-    count = int(np.prod(dims)) if ndim else 0
+    count = math.prod(dims) if ndim else 0
     if len(blob) < header_end + count:
         raise IdxParseError(f"{path}: truncated payload at offset {header_end}")
     data = np.frombuffer(blob, dtype=np.uint8, count=count, offset=header_end)

@@ -66,6 +66,8 @@ def consistency_metric(m: ModelTriple, x: np.ndarray, spec: AugmentSpec,
     if n_neighbors < 1:
         raise ParameterError("n_neighbors must be >= 1")
     x = np.asarray(x, dtype=np.float64)
+    if len(x) == 0:
+        raise DegenerateInputError("consistency_metric needs at least one row")
     base = np.argmax(m.predict_proba(x), axis=1)
     changed = np.zeros(len(x), dtype=bool)
     for _ in range(n_neighbors):

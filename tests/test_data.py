@@ -1,10 +1,13 @@
 """Synthetic dataset generators: class balance, separability, determinism."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from codim.data import (BlobSpec, RingSpec, blob_means, gen_blobs, gen_rings)
-from codim.errors import ParameterError
+from codim.data import (IDX_IMAGES_MAGIC, BlobSpec, RingSpec, _read_idx, blob_means,
+                        gen_blobs, gen_rings)
+from codim.errors import IdxParseError, ParameterError
 from codim.noise import NoiseSpec
 
 
@@ -93,3 +96,12 @@ def test_with_noise_and_with_labels_bookkeeping():
             != noisy.clean_labels[noisy.flip_mask]).all()
     relabeled = noisy.with_labels(noisy.clean_labels)
     assert not relabeled.flip_mask.any()
+
+
+def test_idx_header_whose_size_overflows_int64_is_truncated(tmp_path):
+    """dims whose product is 2**64 wrap to 0 in int64; the parser must count
+    the payload exactly and report it missing."""
+    path = tmp_path / "huge.idx"
+    path.write_bytes(struct.pack(">4I", IDX_IMAGES_MAGIC, 2 ** 21, 2 ** 21, 2 ** 22))
+    with pytest.raises(IdxParseError, match="truncated payload at offset 16"):
+        _read_idx(path, IDX_IMAGES_MAGIC)

@@ -124,6 +124,16 @@ def test_consistency_zero_for_constant_model():
     assert val == 0.0
 
 
+def test_consistency_rejects_empty_rows_before_predicting():
+    class Unreachable:
+        def predict_proba(self, x):
+            raise AssertionError("predicted on an empty batch")
+
+    with pytest.raises(DegenerateInputError, match="at least one row"):
+        consistency_metric(Unreachable(), np.zeros((0, 2)), AugmentSpec(),
+                           n_neighbors=4, rng=rng_for(2))
+
+
 def test_pca_2d_recovers_rank2_structure():
     rng = rng_for(0xE2)
     latent = rng.normal(size=(200, 2)) * np.array([5.0, 2.0])

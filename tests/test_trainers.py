@@ -12,6 +12,7 @@ from codim.noise import NoiseSpec, Partition
 from codim.trainers import (RUN_RECORD_HEADER, CodimTrainer, TrainConfig,
                             _contrastive_terms, label_correction, pretrain_selfcon,
                             train_ce, train_codim, train_cssl, warmup)
+from codim.metrics import consistency_metric
 from codim.metrics import test_accuracy as accuracy_of
 from codim.models import DuoModel
 
@@ -25,6 +26,18 @@ def small_dataset(seed=0, noisy=True):
         ds = ds.with_noise(NoiseSpec("symmetric", 0.3, seed=seed + 1,
                                      redraw_over_all=False))
     return ds
+
+
+def wide_dataset(seed=0):
+    """300 training rows: more than ``trainers.CONSISTENCY_ROWS``."""
+    ds = gen_blobs(BlobSpec(num_classes=3, dim=2, samples_per_class=150,
+                            class_separation=3.0, seed=seed))
+    return ds.with_noise(NoiseSpec("symmetric", 0.3, seed=seed + 1, redraw_over_all=False))
+
+
+def consistency_rows(seed, n):
+    return np.sort(trainers._rng(seed, 0xE6).choice(n, min(trainers.CONSISTENCY_ROWS, n),
+                                                    replace=False))
 
 
 def mean_proba(duo, x):
@@ -222,6 +235,108 @@ def test_post_warmup_and_final_consistency_populated():
     assert trainer.post_warmup_consistency is not None
     assert trainer.final_consistency is not None
     assert 0.0 <= trainer.post_warmup_consistency <= 1.0
+
+
+def test_epoch_consistency_is_measured_on_a_fixed_row_subset():
+    """Every epoch scores the first net on the same CONSISTENCY_ROWS sorted
+    rows, drawn from the seed alone."""
+    ds, cfg = wide_dataset(), small_config()
+    rows = consistency_rows(cfg.seed, ds.n)
+    assert len(rows) == trainers.CONSISTENCY_ROWS < ds.n
+    assert np.all(np.diff(rows) > 0)
+    assert np.array_equal(rows, consistency_rows(cfg.seed, ds.n))
+    assert not np.array_equal(rows, consistency_rows(cfg.seed + 1, ds.n))
+    trainer = CodimTrainer(ds, cfg)
+    trainer.prepare()
+    for epoch in range(cfg.epochs):
+        row = trainer.epoch(epoch)
+        want = consistency_metric(trainer.duo.net_a, ds.x[rows], cfg.aug, n_neighbors=8,
+                                  rng=trainers._rng(cfg.seed, 0xE5, epoch))
+        assert row.consistency == want
+
+
+def test_epoch_consistency_uses_every_row_of_a_small_set():
+    ds, cfg = small_dataset(), small_config()
+    assert ds.n <= trainers.CONSISTENCY_ROWS
+    assert np.array_equal(consistency_rows(cfg.seed, ds.n), np.arange(ds.n))
+    trainer = CodimTrainer(ds, cfg)
+    trainer.prepare()
+    for epoch in range(cfg.epochs):
+        row = trainer.epoch(epoch)
+        whole = consistency_metric(trainer.duo.net_a, ds.x, cfg.aug, n_neighbors=8,
+                                   rng=trainers._rng(cfg.seed, 0xE5, epoch))
+        assert repr(row.consistency) == repr(whole)
+
+
+def test_post_warmup_and_final_consistency_see_every_row(monkeypatch):
+    ds, cfg = wide_dataset(), small_config()
+    shapes, real = [], trainers.consistency_metric
+
+    def metric(m, x, *args, **kwargs):
+        shapes.append(x.shape)
+        return real(m, x, *args, **kwargs)
+
+    monkeypatch.setattr(trainers, "consistency_metric", metric)
+    CodimTrainer(ds, cfg).run()
+    whole, subset = ds.x.shape, (trainers.CONSISTENCY_ROWS, ds.dim)
+    assert shapes == [whole] + [subset] * cfg.epochs + [whole]
+
+
+def _trained(model, record):
+    """State dicts and every column but ``consistency`` of one training run."""
+    nets = model.nets if isinstance(model, DuoModel) else (model,)
+    columns = [{k: v for k, v in vars(r).items() if k != "consistency"} for r in record.rows]
+    return [net.state_dict() for net in nets], columns
+
+
+@pytest.mark.parametrize("train, mode", [(train_ce, "sup"), (train_cssl, "cssl"),
+                                         (train_codim, "bare"), (train_codim, "self"),
+                                         (train_codim, "sup"), (train_codim, "cssl")],
+                         ids=["ce", "cssl", "codim-bare", "codim-self", "codim-sup",
+                              "codim-cssl"])
+def test_consistency_measurement_draws_nothing_from_training(monkeypatch, train, mode):
+    """Stubbing the measurement out leaves every weight and every other
+    column byte-equal, so it draws from no training stream."""
+    ds, cfg = wide_dataset(), small_config(mode=mode)
+    states, columns = _trained(*train(ds, cfg))
+    monkeypatch.setattr(trainers, "_consistency", lambda *args, **kwargs: 0.25)
+    stub_states, stub_columns = _trained(*train(ds, cfg))
+    assert stub_columns == columns
+    for got, want in zip(stub_states, states, strict=True):
+        assert got.keys() == want.keys()
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
+def test_codim_epoch_predicts_an_exact_row_count(monkeypatch):
+    """Rows through predict_proba in one co-divide epoch: both partitions
+    (2n), both nets' test predictions, 9 consistency passes over
+    CONSISTENCY_ROWS, and the label queries of the steps taken: num_augs
+    weak views of the labeled rows for the own net and of the unlabeled rows
+    for both nets."""
+    ds = gen_blobs(BlobSpec(num_classes=4, dim=2, samples_per_class=750,
+                            class_separation=3.0, seed=0))
+    ds = ds.with_noise(NoiseSpec("symmetric", 0.3, seed=1, redraw_over_all=False))
+    assert ds.n == 2000
+    cfg = small_config(pretrain_steps=5, batch_size=64)
+    trainer = CodimTrainer(ds, cfg)
+    trainer.prepare()
+    rows, queries = [], []
+    real_predict, real_step = ModelTriple.predict_proba, trainers._mixmatch_step
+
+    def predict(net, x):
+        rows.append(len(x))
+        return real_predict(net, x)
+
+    def step(net, guessers, opt, cfg, mode, x_lab, labels, targets, x_unl, *rest):
+        queries.append(cfg.ssl.num_augs * (len(x_lab) + len(guessers) * len(x_unl)))
+        return real_step(net, guessers, opt, cfg, mode, x_lab, labels, targets, x_unl, *rest)
+
+    monkeypatch.setattr(ModelTriple, "predict_proba", predict)
+    monkeypatch.setattr(trainers, "_mixmatch_step", step)
+    trainer.epoch(0)
+    assert len(queries) == 2 * cfg.iters_per_epoch
+    assert sum(rows) == (2 * ds.n + 2 * len(ds.test_x) + 9 * trainers.CONSISTENCY_ROWS
+                         + sum(queries))
 
 
 def test_epoch_accuracies_match_test_accuracy():
