@@ -22,10 +22,10 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (MODE_ALIASES, load_config, make_dataset, make_train_config,
                      resolved_config_text)
-from .errors import CodimError, ConfigError
+from .errors import CodimError, ConfigError, ParameterError
 from .metrics import export_curves_svg, export_embeddings_2d, write_csv
 from .models import ModelTriple
-from .noise import check_threshold, partition_losses
+from .noise import partition_losses
 from .trainers import (MODES, RUN_RECORD_HEADER, pretrain_selfcon, train_ce,
                        train_codim, train_cssl)
 
@@ -173,7 +173,7 @@ def _read_losses(path) -> np.ndarray:
 
 
 def cmd_partition(args) -> int:
-    check_threshold(args.threshold)
+    ParameterError.check_value("threshold", args.threshold, "in [0, 1]")
     losses = _read_losses(args.losses_csv)
     if len(losses) == 0 or not np.isfinite(losses).all():
         raise ConfigError(f"{args.losses_csv} needs one or more losses, all finite")

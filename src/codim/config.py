@@ -11,7 +11,7 @@ from dataclasses import fields
 
 from .contrastive import AugmentSpec
 from .data import BlobSpec, Dataset, RingSpec, gen_blobs, gen_rings
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .mixmatch import SslHyper
 from .noise import NoiseSpec, adjacent_pair_map
 from .trainers import MODES, TrainConfig
@@ -124,6 +124,7 @@ def _build(cls, values: dict, **given):
 
 
 def make_dataset(values: dict) -> Dataset:
+    ParameterError.check_value("noise_ratio", values["noise_ratio"], "in [0, 1]")
     if values["dataset"] == "blobs":
         ds = gen_blobs(_build(BlobSpec, values, seed=values["data_seed"]))
     else:

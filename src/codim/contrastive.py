@@ -33,11 +33,11 @@ class AugmentSpec:
     scale_range: tuple[float, float] = (0.9, 1.1)
 
     def __post_init__(self):
+        ParameterError.check(self, ">= 0", "weak_jitter_sigma", "strong_jitter_sigma")
+        ParameterError.check(self, "in [0, 1]", "mask_prob")
+        if self.strong_jitter_sigma < self.weak_jitter_sigma:
+            raise ParameterError("need strong_jitter_sigma >= weak_jitter_sigma")
         lo, hi = self.scale_range
-        if not (self.strong_jitter_sigma >= self.weak_jitter_sigma >= 0.0):
-            raise ParameterError("need strong_jitter_sigma >= weak_jitter_sigma >= 0")
-        if not 0.0 <= self.mask_prob <= 1.0:
-            raise ParameterError("mask_prob must be in [0, 1]")
         if not 0.0 < lo <= 1.0 <= hi < np.inf:
             raise ParameterError("scale_range must satisfy 0 < lo <= 1 <= hi < inf")
 

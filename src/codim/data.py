@@ -49,16 +49,10 @@ class Dataset:
         return replace(self, noisy_labels=np.asarray(new_labels, dtype=np.intp))
 
 
-def _check_counts(spec, *names):
-    """Each named field of ``spec`` is >= 1, its seed >= 0, and its
-    samples_per_class >= 3, the least that gives each class a test row."""
-    for name in names:
-        if getattr(spec, name) < 1:
-            raise ParameterError(f"{name} = {getattr(spec, name)} must be >= 1")
+def _check_counts(spec):
+    """samples_per_class >= 3, the least that gives each class a test row."""
     if spec.samples_per_class < 3:
         raise ParameterError(f"samples_per_class = {spec.samples_per_class} must be >= 3")
-    if spec.seed < 0:
-        raise ParameterError(f"seed = {spec.seed} must be >= 0")
 
 
 @dataclass
@@ -71,7 +65,9 @@ class BlobSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_counts(self, "num_classes", "dim", "samples_per_class")
+        ParameterError.check(self, ">= 1", "num_classes", "dim", "samples_per_class")
+        _check_counts(self)
+        ParameterError.check(self, ">= 0", "seed")
         ParameterError.check(self, "> 0", "class_separation", "intra_std")
 
 
@@ -134,8 +130,9 @@ class RingSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_counts(self, "num_classes", "samples_per_class")
-        ParameterError.check(self, ">= 0", "base_radius", "radius_step", "radial_std")
+        ParameterError.check(self, ">= 1", "num_classes", "samples_per_class")
+        _check_counts(self)
+        ParameterError.check(self, ">= 0", "seed", "base_radius", "radius_step", "radial_std")
 
 
 def gen_rings(spec: RingSpec) -> Dataset:

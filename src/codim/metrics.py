@@ -63,8 +63,7 @@ def consistency_metric(m: ModelTriple, x: np.ndarray, spec: AugmentSpec,
     """Mean over samples of whether any of n weakly augmented neighbors flips
     the predicted class; a finite-sample estimate of the neighborhood
     disagreement rate (0 = perfectly consistent)."""
-    if n_neighbors < 1:
-        raise ParameterError("n_neighbors must be >= 1")
+    ParameterError.check_value("n_neighbors", n_neighbors, ">= 1")
     x = np.asarray(x, dtype=np.float64)
     if len(x) == 0:
         raise DegenerateInputError("consistency_metric needs at least one row")

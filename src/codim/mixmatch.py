@@ -25,17 +25,15 @@ class SslHyper:
     warmup_ramp_epochs: int = 16
 
     def __post_init__(self):
-        ParameterError.check(self, ">= 0", "lambda_u", "lambda_r")
+        ParameterError.check(self, ">= 0", "lambda_u", "lambda_r", "warmup_ramp_epochs")
         ParameterError.check(self, "invertible", "sharpen_t")
-        if self.sharpen_t > 1.0:
-            raise ParameterError(f"sharpen_t = {self.sharpen_t} must be <= 1")
+        ParameterError.check(self, "in (0, 1]", "sharpen_t")
         ParameterError.check(self, "> 0", "mixup_alpha")
-        if self.num_augs < 1:
-            raise ParameterError(f"num_augs = {self.num_augs} must be >= 1")
+        ParameterError.check(self, ">= 1", "num_augs")
 
     def ramped_lambda_u(self, epoch: float) -> float:
-        """Linear 0 -> lambda_u over warmup_ramp_epochs; full weight if no ramp."""
-        if self.warmup_ramp_epochs <= 0:
+        """Linear 0 -> lambda_u over warmup_ramp_epochs; full weight if 0 (no ramp)."""
+        if self.warmup_ramp_epochs == 0:
             return self.lambda_u
         return self.lambda_u * float(np.clip(epoch / self.warmup_ramp_epochs, 0.0, 1.0))
 
@@ -89,8 +87,7 @@ def co_refine(clean_prob: np.ndarray, noisy_one_hot: np.ndarray,
 def mixup(x1: np.ndarray, p1: np.ndarray, x2: np.ndarray, p2: np.ndarray,
           alpha: float, rng: np.random.Generator, lam: float | None = None):
     """Convex combination with lam' = max(lam, 1-lam), biased toward the first arg."""
-    if alpha <= 0:
-        raise ParameterError("mixup alpha must be positive")
+    ParameterError.check_value("mixup alpha", alpha, "> 0")
     if lam is None:
         lam = rng.beta(alpha, alpha)
     lam = max(lam, 1.0 - lam)

@@ -57,10 +57,7 @@ class Mlp:
         h = np.asarray(x, dtype=np.float64)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data
-            h += b.data
-            if i < last or self.final_relu:
-                np.maximum(h, 0.0, out=h)
+            h = T._linear(h, w.data, b.data, i < last or self.final_relu)
         return h
 
     def params(self, prefix: str) -> dict[str, Tensor]:
@@ -126,10 +123,7 @@ class ModelTriple:
         out = np.empty((len(x), self.arch.num_classes))
         for start in range(0, len(x), EVAL_BLOCK_ROWS):
             rows = slice(start, start + EVAL_BLOCK_ROWS)
-            logits = self.cls.forward_np(self.feat.forward_np(x[rows]))
-            logits -= logits.max(axis=1, keepdims=True)
-            np.exp(logits, out=logits)
-            np.divide(logits, logits.sum(axis=1, keepdims=True), out=out[rows])
+            T._softmax(self.cls.forward_np(self.feat.forward_np(x[rows])), out=out[rows])
         return out
 
     def params(self, *heads: str) -> dict[str, Tensor]:

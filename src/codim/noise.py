@@ -22,10 +22,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric"):
             raise ParameterError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ParameterError("noise ratio must be in [0, 1]")
-        if self.seed < 0:
-            raise ParameterError(f"noise seed = {self.seed} must be >= 0")
+        ParameterError.check_value("noise ratio", self.ratio, "in [0, 1]")
+        ParameterError.check_value("noise seed", self.seed, ">= 0")
         if self.kind == "asymmetric":
             if self.class_map is None:
                 raise ParameterError("asymmetric noise requires a class_map")
@@ -194,12 +192,6 @@ def fit_gmm_1d(values: np.ndarray) -> GmmParams:
                      variances=variances[order], ll_history=ll_history)
 
 
-def check_threshold(threshold: float):
-    """Raise ``ParameterError`` unless ``threshold`` is in [0, 1] (not NaN)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ParameterError(f"threshold = {threshold} is outside [0, 1]")
-
-
 @dataclass
 class Partition:
     """Posterior clean probabilities with the thresholded index split."""
@@ -215,7 +207,7 @@ class Partition:
     def split(cls, clean_prob: np.ndarray, threshold: float, gmm: GmmParams | None = None,
               fallback: str | None = None) -> "Partition":
         """Clean = ``clean_prob >= threshold``, for a threshold in [0, 1]."""
-        check_threshold(threshold)
+        ParameterError.check_value("threshold", threshold, "in [0, 1]")
         is_clean = clean_prob >= threshold
         return cls(clean_prob, np.flatnonzero(is_clean), np.flatnonzero(~is_clean),
                    threshold, gmm, fallback)

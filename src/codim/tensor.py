@@ -91,9 +91,21 @@ def _check_rows(name: str, logits: np.ndarray, targets: np.ndarray):
         raise DegenerateInputError(f"{name}: empty batch")
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax of ``logits``, written into ``out`` if given."""
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return np.divide(e, e.sum(axis=1, keepdims=True), out=out)
+
+
+def _linear(h: np.ndarray, w: np.ndarray, b: np.ndarray | None, relu: bool) -> np.ndarray:
+    """``h @ w``, plus ``b`` on every row, then ReLU if ``relu``: the forward
+    arithmetic of one layer, with and without a graph."""
+    out = h @ w
+    if b is not None:
+        out += b
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
 
 
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -129,22 +141,17 @@ def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data @ b.data
     parents = (a, b)
     if bias is not None:
         bias = _wrap(bias)
         if bias.data.shape != (b.data.shape[1],):
-            raise DimensionError(f"matmul: bias {bias.shape} for output {out_data.shape}")
-        out_data += bias.data
+            raise DimensionError(f"matmul: bias {bias.shape} for {b.data.shape[1]} outputs")
         parents = (a, b, bias)
-    mask = None
-    if relu:
-        mask = out_data > 0.0
-        out_data *= mask
+    out_data = _linear(a.data, b.data, None if bias is None else bias.data, relu)
 
     def backward(g):
-        if mask is not None:
-            g = g * mask
+        if relu:
+            g = g * (out_data > 0.0)
         if a.requires_grad:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:

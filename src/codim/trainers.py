@@ -57,21 +57,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        least = {"pretrain_steps": 0, "warmup_epochs": 0, "epochs": 1, "iters_per_epoch": 0,
-                 "batch_size": 2, "proj_hidden": 1, "proj_dim": 1, "seed": 0}
-        for name, low in least.items():
-            if getattr(self, name) < low:
-                raise ParameterError(f"{name} = {getattr(self, name)} must be >= {low}")
+        ParameterError.check(self, ">= 0", "pretrain_steps", "warmup_epochs", "iters_per_epoch",
+                             "label_correction_epochs", "seed", "momentum", "weight_decay",
+                             "lambda_sup", "lambda_self")
+        ParameterError.check(self, ">= 1", "epochs", "proj_hidden", "proj_dim")
+        if self.batch_size < 2:
+            raise ParameterError(f"batch_size = {self.batch_size} must be >= 2: a contrastive "
+                                 "batch needs two source rows")
         if min(self.feat_hidden, default=0) < 1:
             raise ParameterError(f"feat_hidden = {self.feat_hidden} needs widths >= 1")
         ParameterError.check(self, "> 0", "lr", "label_correction_lr")
         ParameterError.check(self, "invertible", "lr_drop_factor", "tau1", "tau2", "tau3")
-        ParameterError.check(self, ">= 0", "momentum", "weight_decay", "lambda_sup",
-                             "lambda_self")
-        if not 0.0 <= self.gmm_threshold <= 1.0:
-            raise ParameterError(f"gmm_threshold = {self.gmm_threshold} is outside [0, 1]")
-        if not 0.0 < self.labeled_ratio <= 1.0:
-            raise ParameterError(f"labeled_ratio = {self.labeled_ratio} is outside (0, 1]")
+        ParameterError.check(self, "in [0, 1]", "gmm_threshold")
+        ParameterError.check(self, "in (0, 1]", "labeled_ratio")
 
     def arch(self, input_dim: int, num_classes: int) -> Arch:
         return Arch(input_dim=input_dim, num_classes=num_classes,

@@ -1,10 +1,8 @@
 """Shared test helpers: finite-difference gradient checking and seeded RNGs.
-Also puts ``scripts/`` on the import path, so tests can import the frozen
-experiment protocols of ``scripts/reproduce.py``."""
+``pyproject.toml`` puts ``src/`` and ``scripts/`` on the import path, so
+tests import codim and the frozen protocols of ``scripts/reproduce.py``."""
 
 import os
-import pathlib
-import sys
 
 # One BLAS thread unless the caller set one: the suite's matrices are small,
 # so more threads mostly spin. Set before NumPy is first imported.
@@ -13,8 +11,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
 
 
 def rng_for(*entropy) -> np.random.Generator:

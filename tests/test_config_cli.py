@@ -495,6 +495,39 @@ def test_cli_config_value_that_used_to_crash_exits_2(tmp_path, capsys, command, 
     assert err.startswith("config error: ") and key in err
 
 
+@pytest.mark.parametrize("command, line", [
+    ("gen", "noise_kind = none\nnoise_ratio = nan"),
+    ("cssl", "noise_ratio = -1"),  # cssl sets noise_kind = none
+])
+def test_cli_noise_ratio_is_checked_without_noise(tmp_path, capsys, command, line):
+    cfg, out_dir = write_config(tmp_path, line + "\n")
+    assert main([command, cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: noise_ratio = ")
+    assert not os.path.exists(out_dir)
+
+
+# every int and float key, each at values outside any range rule: -1, and
+# for a float also nan and inf; a key added to SCHEMA joins without an edit
+OUT_OF_RANGE = [(key, bad) for key, (parser, _) in SCHEMA.items() if parser in (int, float)
+                for bad in (("-1",) if parser is int else ("-1", "nan", "inf"))]
+
+
+def test_out_of_range_walk_covers_every_numeric_field():
+    walked = {key for key, _ in OUT_OF_RANGE}
+    for cls in (BlobSpec, NoiseSpec, AugmentSpec, SslHyper, TrainConfig):
+        for f in fields(cls):
+            if getattr(f.type, "__name__", f.type) in ("int", "float"):
+                assert {f.name, f"data_{f.name}", f"noise_{f.name}"} & walked, f.name
+
+
+@pytest.mark.parametrize("key, bad", OUT_OF_RANGE, ids=[f"{k}={v}" for k, v in OUT_OF_RANGE])
+def test_cli_gen_rejects_every_numeric_key_outside_its_range(tmp_path, capsys, key, bad):
+    cfg, out_dir = write_config(tmp_path, f"{key} = {bad}\n")
+    assert main(["gen", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not os.path.exists(out_dir)
+
+
 @pytest.mark.parametrize("command", ["gen", "pretrain", "train", "cssl"])
 def test_cli_rejected_config_leaves_earlier_run_dir_alone(tmp_path, capsys, command):
     cfg, out_dir = write_config(tmp_path)
@@ -650,7 +683,8 @@ def test_cli_partition_threshold_out_of_range_exits_2(tmp_path, capsys, threshol
     assert not (tmp_path / "losses_partition.csv").exists()
     # checked before the file is read: a missing file reports the threshold
     assert main(["partition", str(tmp_path / "missing.csv"), "--threshold", threshold]) == 2
-    assert "is outside [0, 1]" in capsys.readouterr().err
+    assert (f"threshold = {float(threshold)} must be finite and in [0, 1]"
+            in capsys.readouterr().err)
 
 
 def test_cli_gmm_threshold_out_of_range_exits_2(tmp_path, capsys):

@@ -229,6 +229,10 @@ def test_augment_spec_validation():
         AugmentSpec(scale_range=(1.2, 1.4))
     with pytest.raises(ParameterError):
         AugmentSpec(scale_range=(0.9, np.inf))
+    for name in ("weak_jitter_sigma", "strong_jitter_sigma", "mask_prob"):
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ParameterError, match=f"{name} = {bad} must be finite"):
+                AugmentSpec(**{name: bad})
 
 
 def test_augment_statistics():

@@ -45,3 +45,35 @@ def test_a_bug_propagates_as_a_traceback(tmp_path, monkeypatch):
     cfg.write_text(f"out_dir = {tmp_path / 'out'}\n")
     with pytest.raises(TypeError, match="unsupported operand"):
         cli.main(["gen", str(cfg)])
+
+
+# rule -> values it accepts, values it rejects besides nan, +-inf and -1
+RULE_CASES = {
+    ">= 0": ((0, 0.0, 3.5), (-1e-300,)),
+    "> 0": ((1, 1e-320), (0, 0.0)),
+    ">= 1": ((1, 10 ** 400), (0, 0.5)),
+    "in [0, 1]": ((0, 0.0, 0.5, 1.0), (-0.1, 1.0 + 1e-12)),
+    "in (0, 1]": ((1e-320, 1.0), (0.0, 1.5)),
+    "invertible": ((1e-300, 10.0), (0.0, 1e-320)),
+}
+
+
+def test_range_rule_cases_cover_the_table():
+    assert set(RULE_CASES) == set(errors._RULES)
+
+
+@pytest.mark.parametrize("rule", RULE_CASES)
+def test_every_range_rule_rejects_nan_inf_and_minus_one(rule):
+    good, bad = RULE_CASES[rule]
+    for v in good:
+        ParameterError.check_value("v", v, rule)
+    for v in (*bad, -1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError, match=f"^v = {v} must be "):
+            ParameterError.check_value("v", v, rule)
+
+
+def test_range_message_says_finite_only_for_a_float():
+    with pytest.raises(ParameterError, match=r"^epochs = 0 must be >= 1$"):
+        ParameterError.check_value("epochs", 0, ">= 1")
+    with pytest.raises(ParameterError, match=r"^threshold = nan must be finite and in \[0, 1\]$"):
+        ParameterError.check_value("threshold", float("nan"), "in [0, 1]")

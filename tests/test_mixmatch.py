@@ -232,3 +232,8 @@ def test_ssl_hyper_validation():
         (name, value), = bad.items()
         with pytest.raises(ParameterError, match=f"{name} = {value}"):
             SslHyper(**bad)
+    for name in ("warmup_ramp_epochs", "num_augs"):
+        with pytest.raises(ParameterError, match=f"{name} = -1 must be >= "):
+            SslHyper(**{name: -1})
+    with pytest.raises(ParameterError, match="sharpen_t = 1.5"):
+        SslHyper(sharpen_t=1.5)
