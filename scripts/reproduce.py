@@ -4,25 +4,22 @@
 Each protocol is a function of the seed that returns the numbers its
 criterion in tests/test_acceptance.py reads. The gate calls the same
 functions on seeds 0-4, so the tables printed here are the numbers behind
-its ACCEPTANCE lines; the pass rules live only in the tests.
+its ACCEPTANCE lines; the pass rules live only in the tests. A protocol's
+run is the codim config text of the constant named after it plus the seed
+lines of ``_values``, built by ``make_dataset`` and ``make_train_config`` as
+``codim`` builds a run.
 
-  memorizing (5a)       4 classes in d = 20 (18 nuisance dimensions), 150
-                        per class (400 train / 200 test), 40% strict
-                        symmetric noise, a 128-128 MLP. Best test accuracy of
-                        CE on the clean labels, CE on the noisy ones and
-                        CoDiM-Sup. CE fits the flipped labels here.
-  blobs_2d (5b, 5c, 6)  4 classes in d = 2, 750 per class, the same noise,
-                        the default 64-64 MLP. CE and CoDiM-Sup best/last
-                        accuracy, CoDiM's best partition AUC within 10
-                        epochs, and its consistency after warm-up and at the
-                        end. CE already sits at the Bayes ceiling here.
-  cssl (7)              4 classes in d = 2, 30 per class, no noise, labels
-                        on 20% of the training set. Best accuracy of plain
-                        SSL, CSSL with pretraining and CSSL without.
-  relabel (9)           the 2-D blobs at 80% symmetric noise: self-supervised
-                        pretraining, then label correction on the frozen
-                        encoder. Wrong labels (noisy != clean) before and
-                        after.
+  memorizing (5a)       CE on the clean labels, CE on the noisy ones and
+                        CoDiM-Sup, best accuracy. The 18 nuisance dimensions
+                        let CE fit the flipped labels.
+  blobs_2d (5b, 5c, 6)  CE and CoDiM-Sup best/last accuracy, CoDiM's best
+                        partition AUC within 10 epochs, and its consistency
+                        after warm-up and at the end. In 2-D, CE already
+                        sits at the Bayes ceiling.
+  cssl (7)              Best accuracy of plain SSL, CSSL with pretraining
+                        and CSSL without, on trusted labels.
+  relabel (9)           Wrong labels (noisy != clean) before and after label
+                        correction on a self-supervised pretrained encoder.
 
 After each table a line gives the protocol's wall seconds, the CPU user and
 sys seconds and the minor page faults of this process over it.
@@ -44,41 +41,42 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from codim.contrastive import AugmentSpec
-from codim.data import BlobSpec, gen_blobs
+from codim.config import make_dataset, make_train_config, parse_config_text
 from codim.metrics import write_csv
 from codim.models import ModelTriple
-from codim.noise import NoiseSpec
-from codim.trainers import (CodimTrainer, TrainConfig, label_correction,
-                            pretrain_selfcon, train_ce, train_cssl)
+from codim.trainers import (CodimTrainer, label_correction, pretrain_selfcon,
+                            train_ce, train_cssl)
 
-# Augmentations that never mask a coordinate: zeroing one of two coordinates
+# Augmentation that never masks a coordinate: zeroing one of two coordinates
 # destroys class information and makes the contrastive terms harmful.
-NO_MASK_AUG = AugmentSpec(weak_jitter_sigma=0.1, strong_jitter_sigma=0.25,
-                          mask_prob=0.0, scale_range=(0.8, 1.2))
+_NO_MASK_AUG = "strong_jitter_sigma = 0.25\nmask_prob = 0\nscale_lo = 0.8\nscale_hi = 1.2\n"
+
+# strict symmetric noise: every corrupted label differs from the original
+BLOBS_2D = "redraw_over_all = false\n"
+MEMORIZING = BLOBS_2D + "dim = 20\nsamples_per_class = 150\nfeat_hidden = 128,128\n"
+CSSL = ("samples_per_class = 30\nclass_separation = 2.5\nnoise_kind = none\n"
+        "mode = cssl\nepochs = 20\nwarmup_epochs = 0\nlabeled_ratio = 0.2\n" + _NO_MASK_AUG)
+RELABEL = "noise_ratio = 0.8\npretrain_steps = 1000\n" + _NO_MASK_AUG
 
 
-def _strict_noise_40(seed: int) -> NoiseSpec:
-    """40% symmetric noise; every corrupted label differs from the original."""
-    return NoiseSpec("symmetric", 0.4, seed=seed + 100, redraw_over_all=False)
-
-
-def _blobs_2d_clean(seed: int):
-    return gen_blobs(BlobSpec(4, 2, 750, 3.0, 1.0, seed=seed))
+def _values(text: str, seed: int) -> dict:
+    """The config values of protocol ``text`` on ``seed``."""
+    return parse_config_text(
+        f"{text}data_seed = {seed}\nnoise_seed = {seed + 100}\nseed = {seed}\n")
 
 
 def memorizing(seed: int) -> dict:
-    clean = gen_blobs(BlobSpec(4, 20, 150, 3.0, 1.0, seed=seed))
-    noisy = clean.with_noise(_strict_noise_40(seed))
-    cfg = TrainConfig(mode="sup", seed=seed, feat_hidden=(128, 128))
+    values = _values(MEMORIZING, seed)
+    clean = make_dataset({**values, "noise_kind": "none"})
+    noisy, cfg = make_dataset(values), make_train_config(values)
     return dict(clean_ce=train_ce(clean, cfg)[1].best_acc,
                 ce=train_ce(noisy, cfg)[1].best_acc,
                 codim=CodimTrainer(noisy, cfg).run()[1].best_acc)
 
 
 def blobs_2d(seed: int) -> dict:
-    ds = _blobs_2d_clean(seed).with_noise(_strict_noise_40(seed))
-    cfg = TrainConfig(mode="sup", seed=seed)  # default MLP, E=30
+    values = _values(BLOBS_2D, seed)
+    ds, cfg = make_dataset(values), make_train_config(values)
     _, ce = train_ce(ds, cfg)
     trainer = CodimTrainer(ds, cfg)
     _, codim = trainer.run()
@@ -90,13 +88,12 @@ def blobs_2d(seed: int) -> dict:
 
 
 def cssl(seed: int) -> dict:
-    ds = gen_blobs(BlobSpec(4, 2, 30, 2.5, 1.0, seed=seed))
+    values = _values(CSSL, seed)
+    ds = make_dataset(values)
 
     def best(lam: float, pretrain: bool) -> float:
-        cfg = TrainConfig(mode="cssl", seed=seed, epochs=20,
-                          pretrain_steps=500 if pretrain else 0,
-                          lambda_sup=lam, lambda_self=lam, warmup_epochs=0,
-                          aug=NO_MASK_AUG, labeled_ratio=0.2)
+        cfg = make_train_config({**values, "lambda_sup": lam, "lambda_self": lam,
+                                 "pretrain_steps": 500 if pretrain else 0})
         return train_cssl(ds, cfg)[1].best_acc
 
     return dict(plain_ssl=best(0.0, False), cssl=best(1.0, True),
@@ -104,8 +101,8 @@ def cssl(seed: int) -> dict:
 
 
 def relabel(seed: int) -> dict:
-    ds = _blobs_2d_clean(seed).with_noise(NoiseSpec("symmetric", 0.8, seed=seed + 100))
-    cfg = TrainConfig(seed=seed, pretrain_steps=1000, aug=NO_MASK_AUG)
+    values = _values(RELABEL, seed)
+    ds, cfg = make_dataset(values), make_train_config(values)
     m = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=seed)
     pretrain_selfcon(ds, m, cfg)
     fixed = label_correction(ds, m, cfg)

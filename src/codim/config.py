@@ -125,6 +125,7 @@ def _build(cls, values: dict, **given):
 
 def make_dataset(values: dict) -> Dataset:
     ParameterError.check_value("noise_ratio", values["noise_ratio"], "in [0, 1]")
+    ParameterError.check_value("noise seed", values["noise_seed"], ">= 0")
     if values["dataset"] == "blobs":
         ds = gen_blobs(_build(BlobSpec, values, seed=values["data_seed"]))
     else:

@@ -495,14 +495,19 @@ def test_cli_config_value_that_used_to_crash_exits_2(tmp_path, capsys, command, 
     assert err.startswith("config error: ") and key in err
 
 
-@pytest.mark.parametrize("command, line", [
-    ("gen", "noise_kind = none\nnoise_ratio = nan"),
-    ("cssl", "noise_ratio = -1"),  # cssl sets noise_kind = none
-])
-def test_cli_noise_ratio_is_checked_without_noise(tmp_path, capsys, command, line):
+# (command, config lines, the name the message gives the value): the seed is
+# named as NoiseSpec names it
+NO_NOISE_CASES = [("gen", "noise_kind = none\nnoise_ratio = nan", "noise_ratio"),
+                  ("cssl", "noise_ratio = -1", "noise_ratio"),  # cssl sets noise_kind = none
+                  ("gen", "noise_kind = none\nnoise_seed = -1", "noise seed")]
+
+
+@pytest.mark.parametrize("command, line, name", NO_NOISE_CASES,
+                         ids=[f"{command}-{line}" for command, line, _ in NO_NOISE_CASES])
+def test_cli_noise_ratio_is_checked_without_noise(tmp_path, capsys, command, line, name):
     cfg, out_dir = write_config(tmp_path, line + "\n")
     assert main([command, cfg]) == 2
-    assert capsys.readouterr().err.startswith("config error: noise_ratio = ")
+    assert capsys.readouterr().err.startswith(f"config error: {name} = ")
     assert not os.path.exists(out_dir)
 
 

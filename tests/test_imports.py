@@ -1,9 +1,10 @@
 """Every name a module under src/codim, tests/ or scripts/ imports is used in
 that module, every module-level private name a module under src/codim or
 scripts/ defines is referenced elsewhere in it, every public top-level
-function and class of src/codim has a reader outside tests/, every random
-stream of the trainers has its own tag, and every codim name the benchmark
-under bench/ calls or expects to see traced still resolves."""
+function and class of src/codim has a reader outside tests/, scripts/
+reproduce.py builds its runs only from config text, every random stream of
+the trainers has its own tag, and every codim name the benchmark under
+bench/ calls or expects to see traced still resolves."""
 
 import ast
 import importlib
@@ -126,6 +127,28 @@ def test_every_public_name_has_a_caller_outside_tests():
     defining = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
     calling = [path.read_text(encoding="utf-8") for path in CODE + list(BENCH.glob("*.py"))]
     assert uncalled_public_names(defining, calling) == sorted(UNCALLED)
+
+
+# what config.make_dataset and make_train_config build from a config's values
+SPEC_BUILDERS = {"BlobSpec", "RingSpec", "NoiseSpec", "AugmentSpec", "TrainConfig",
+                 "gen_blobs", "gen_rings"}
+
+
+def called_names(source: str) -> set[str]:
+    """The name, or the last attribute, of every callee in ``source``."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+
+
+def test_detects_called_names():
+    assert called_names("a(b.c(1), d)\nx.y.z()\n") == {"a", "c", "z"}
+
+
+def test_reproduce_builds_runs_only_from_config_text():
+    """A protocol is config text: a second way to build its objects would let
+    the protocols and ``codim`` describe a run differently."""
+    source = (ROOT / "scripts" / "reproduce.py").read_text(encoding="utf-8")
+    assert sorted(called_names(source) & SPEC_BUILDERS) == []
 
 
 def rng_stream_tags(source: str) -> list[str]:

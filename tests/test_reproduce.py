@@ -1,5 +1,5 @@
-"""``scripts/reproduce.py``'s command line, on a stub protocol: the real
-protocols run in the acceptance fixtures."""
+"""``scripts/reproduce.py``'s command line, on a stub protocol, and its
+protocols' config text; the real protocols run in the acceptance fixtures."""
 
 import csv
 import pathlib
@@ -11,6 +11,8 @@ from types import SimpleNamespace
 import pytest
 
 import reproduce
+from codim.cli import main as codim_main
+from codim.config import load_config
 
 
 def stub(seed):
@@ -62,3 +64,20 @@ def test_import_pins_blas_to_one_thread_unless_the_caller_set_it(preset):
                          cwd=pathlib.Path(reproduce.__file__).parent,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == [preset or "1", "1", "1"]
+
+
+@pytest.mark.parametrize("name", list(reproduce.PROTOCOLS))
+def test_protocol_text_is_a_codim_config(tmp_path, name):
+    """Each protocol's constant, with one seed's lines, is a config file that
+    ``codim gen`` accepts, and the snapshot it writes holds the values the
+    protocol runs on."""
+    text = getattr(reproduce, name.upper())
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{text}data_seed = 3\nnoise_seed = 103\nseed = 3\nout_dir = {out_dir}\n")
+    assert codim_main(["gen", str(cfg)]) == 0
+    resolved = load_config(out_dir / "config_resolved.txt")
+    assert resolved.pop("out_dir") == str(out_dir)
+    expected = reproduce._values(text, 3)
+    expected.pop("out_dir")
+    assert resolved == expected
