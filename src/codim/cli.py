@@ -106,7 +106,7 @@ def cmd_train(args) -> int:
     values, ds, cfg = _load_run(args, mode=args.mode)  # the snapshot records the mode
     if len(ds.test_labels) < 3:  # the embedding export needs 3 rows
         raise ConfigError("samples_per_class and num_classes leave < 3 test rows")
-    if args.pretrained and values["mode"] in ("ce", "dividemix"):
+    if args.pretrained and values["mode"] in MODE_ALIASES:
         raise ConfigError(f"--pretrained needs a pre-trained mode; {values['mode']} "
                           "trains from scratch")
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None

@@ -10,7 +10,7 @@ import os
 from dataclasses import fields
 
 from .contrastive import AugmentSpec
-from .data import BlobSpec, Dataset, RingSpec, gen_blobs, gen_rings
+from .data import BlobSpec, Dataset, gen_blobs
 from .errors import ConfigError, ParameterError
 from .mixmatch import SslHyper
 from .noise import NoiseSpec, adjacent_pair_map
@@ -59,7 +59,7 @@ def _keys(cls, **by_hand) -> dict[str, tuple]:
 
 # key -> (parser, default); the scalar fields of the dataclasses give their own
 SCHEMA: dict[str, tuple] = {
-    "dataset": (_choice("blobs", "rings"), "blobs"),
+    "dataset": (_choice("blobs"), "blobs"),
     **_keys(BlobSpec, seed={"data_seed": (int, 0)}),
     "noise_kind": (_choice("none", "symmetric", "asymmetric"), "symmetric"),
     "noise_ratio": (float, 0.4),
@@ -124,12 +124,9 @@ def _build(cls, values: dict, **given):
 
 
 def make_dataset(values: dict) -> Dataset:
-    ParameterError.check_value("noise_ratio", values["noise_ratio"], "in [0, 1]")
-    ParameterError.check_value("noise seed", values["noise_seed"], ">= 0")
-    if values["dataset"] == "blobs":
-        ds = gen_blobs(_build(BlobSpec, values, seed=values["data_seed"]))
-    else:
-        ds = gen_rings(_build(RingSpec, values, seed=values["data_seed"]))
+    for key, rule in (("data_seed", ">= 0"), ("noise_ratio", "in [0, 1]"), ("noise_seed", ">= 0")):
+        ParameterError.check_value(key, values[key], rule)
+    ds = gen_blobs(_build(BlobSpec, values, seed=values["data_seed"]))
     if values["noise_kind"] != "none" and values["noise_ratio"] > 0:
         class_map = (adjacent_pair_map(ds.num_classes)
                      if values["noise_kind"] == "asymmetric" else None)

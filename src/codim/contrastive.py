@@ -2,7 +2,7 @@
 
 Two views per source sample, interleaved as rows (2k, 2k+1). The
 self-supervised loss treats only the sibling view as positive; the
-supervised loss treats every view sharing the anchor's class label as
+supervised loss treats every view with the anchor's class label as
 positive. Both are reduced as a *mean* over the 2K anchors so the loss
 scale is batch-size independent.
 """
@@ -39,7 +39,8 @@ class AugmentSpec:
             raise ParameterError("need strong_jitter_sigma >= weak_jitter_sigma")
         lo, hi = self.scale_range
         if not 0.0 < lo <= 1.0 <= hi < np.inf:
-            raise ParameterError("scale_range must satisfy 0 < lo <= 1 <= hi < inf")
+            raise ParameterError(f"scale_lo = {lo} and scale_hi = {hi} must satisfy "
+                                 "0 < scale_lo <= 1 <= scale_hi < inf")
 
 
 def augment(x: np.ndarray, spec: AugmentSpec, strength: str,

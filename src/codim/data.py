@@ -1,6 +1,6 @@
 """Synthetic dataset generation, IDX ingestion and noise bookkeeping.
 
-All generators are pure functions of their parameter dataclass; randomness
+The generator is a pure function of its parameter dataclass; randomness
 comes from PCG64 seeded by its seed field, so identical parameters give
 identical datasets.
 """
@@ -49,12 +49,6 @@ class Dataset:
         return replace(self, noisy_labels=np.asarray(new_labels, dtype=np.intp))
 
 
-def _check_counts(spec):
-    """samples_per_class >= 3, the least that gives each class a test row."""
-    if spec.samples_per_class < 3:
-        raise ParameterError(f"samples_per_class = {spec.samples_per_class} must be >= 3")
-
-
 @dataclass
 class BlobSpec:
     num_classes: int = 4
@@ -66,7 +60,8 @@ class BlobSpec:
 
     def __post_init__(self):
         ParameterError.check(self, ">= 1", "num_classes", "dim", "samples_per_class")
-        _check_counts(self)
+        if self.samples_per_class < 3:  # the least that gives each class a test row
+            raise ParameterError(f"samples_per_class = {self.samples_per_class} must be >= 3")
         ParameterError.check(self, ">= 0", "seed")
         ParameterError.check(self, "> 0", "class_separation", "intra_std")
 
@@ -116,34 +111,6 @@ def gen_blobs(spec: BlobSpec) -> Dataset:
     for c in range(spec.num_classes):
         xs.append(means[c] + rng.normal(0.0, spec.intra_std,
                                         size=(spec.samples_per_class, spec.dim)))
-        ys.append(np.full(spec.samples_per_class, c, dtype=np.intp))
-    return _shuffled_split(xs, ys, spec.num_classes, rng)
-
-
-@dataclass
-class RingSpec:
-    num_classes: int = 2
-    samples_per_class: int = 300
-    base_radius: float = 1.0
-    radius_step: float = 1.0
-    radial_std: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        ParameterError.check(self, ">= 1", "num_classes", "samples_per_class")
-        _check_counts(self)
-        ParameterError.check(self, ">= 0", "seed", "base_radius", "radius_step", "radial_std")
-
-
-def gen_rings(spec: RingSpec) -> Dataset:
-    """Concentric 2-D annuli; not linearly separable in raw coordinates."""
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    xs, ys = [], []
-    for c in range(spec.num_classes):
-        radius = spec.base_radius + c * spec.radius_step
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=spec.samples_per_class)
-        r = radius + rng.normal(0.0, spec.radial_std, size=spec.samples_per_class)
-        xs.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
         ys.append(np.full(spec.samples_per_class, c, dtype=np.intp))
     return _shuffled_split(xs, ys, spec.num_classes, rng)
 

@@ -22,8 +22,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric"):
             raise ParameterError(f"unknown noise kind {self.kind!r}")
-        ParameterError.check_value("noise ratio", self.ratio, "in [0, 1]")
-        ParameterError.check_value("noise seed", self.seed, ">= 0")
+        ParameterError.check_value("noise_ratio", self.ratio, "in [0, 1]")
+        ParameterError.check_value("noise_seed", self.seed, ">= 0")
         if self.kind == "asymmetric":
             if self.class_map is None:
                 raise ParameterError("asymmetric noise requires a class_map")

@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small by design: one node per fused op, each with a hand-derived backward,
-covering exactly the MLP layers and losses used elsewhere in the package.
+for exactly the MLP layers and losses used elsewhere in the package.
 Graphs are built eagerly; ``backward()`` runs a single reverse topological
 sweep. Gradients are allocated lazily and summed into fresh arrays, never
 written in place, so a buffer shared between two parents is safe and
-parameter sharing between heads works out of the box. ``SGD`` updates each
+parameters shared between heads work out of the box. ``SGD`` updates each
 parameter in place through its velocity and one scratch array of its shape,
 so no step makes parameter-sized temporaries for the kernel to fault in anew.
 """

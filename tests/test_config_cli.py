@@ -94,6 +94,8 @@ def test_bad_value_reports_line_and_key():
         parse_config_text("just some words\n")
     with pytest.raises(ConfigError, match="bad value for 'mode'"):
         parse_config_text("mode = everything\n")
+    with pytest.raises(ConfigError, match="bad value for 'dataset'"):
+        parse_config_text("dataset = rings\n")
 
 
 def test_missing_file():
@@ -472,8 +474,8 @@ def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys):
     ("train", "tau3 = 0", "tau3"),
     ("train", "epochs = 0", "epochs"),
     ("train", "seed = -1", "seed"),
-    ("gen", "noise_seed = -1", "noise seed"),
-    ("train", "scale_hi = inf", "scale_range"),
+    ("gen", "noise_seed = -1", "noise_seed"),
+    ("train", "scale_hi = inf", "scale_hi"),
     ("train", "momentum = nan", "momentum"),
     ("train", "weight_decay = inf", "weight_decay"),
     ("train", "lambda_u = inf", "lambda_u"),
@@ -484,22 +486,23 @@ def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys):
     ("train", "samples_per_class = 2", "samples_per_class"),
     ("gen", "class_separation = inf", "class_separation"),
     ("gen", "intra_std = inf", "intra_std"),
+    ("gen", "dataset = rings", "bad value for 'dataset'"),
     pytest.param("train", "num_classes = 1\nsamples_per_class = 5", "num_classes",
                  id="train-one-class-test-split-num_classes"),
 ])
 def test_cli_config_value_that_used_to_crash_exits_2(tmp_path, capsys, command, line, key):
-    cfg, _ = write_config(tmp_path, line + "\n")
+    cfg, out_dir = write_config(tmp_path, line + "\n")
     argv = [command, cfg] + (["--mode", "sup"] if command == "train" else [])
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
+    assert not os.path.exists(out_dir)
 
 
-# (command, config lines, the name the message gives the value): the seed is
-# named as NoiseSpec names it
+# (command, config lines, the key the message names)
 NO_NOISE_CASES = [("gen", "noise_kind = none\nnoise_ratio = nan", "noise_ratio"),
                   ("cssl", "noise_ratio = -1", "noise_ratio"),  # cssl sets noise_kind = none
-                  ("gen", "noise_kind = none\nnoise_seed = -1", "noise seed")]
+                  ("gen", "noise_kind = none\nnoise_seed = -1", "noise_seed")]
 
 
 @pytest.mark.parametrize("command, line, name", NO_NOISE_CASES,
@@ -529,7 +532,8 @@ def test_out_of_range_walk_covers_every_numeric_field():
 def test_cli_gen_rejects_every_numeric_key_outside_its_range(tmp_path, capsys, key, bad):
     cfg, out_dir = write_config(tmp_path, f"{key} = {bad}\n")
     assert main(["gen", cfg]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{key} = " in err
     assert not os.path.exists(out_dir)
 
 

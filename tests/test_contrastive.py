@@ -225,9 +225,9 @@ def test_augment_spec_validation():
         AugmentSpec(weak_jitter_sigma=0.5, strong_jitter_sigma=0.1)
     with pytest.raises(ParameterError):
         AugmentSpec(mask_prob=1.5)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="scale_lo = 1.2 and scale_hi = 1.4 must"):
         AugmentSpec(scale_range=(1.2, 1.4))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="scale_lo = 0.9 and scale_hi = inf must"):
         AugmentSpec(scale_range=(0.9, np.inf))
     for name in ("weak_jitter_sigma", "strong_jitter_sigma", "mask_prob"):
         for bad in (-1.0, np.nan, np.inf):

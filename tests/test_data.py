@@ -5,8 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from codim.data import (IDX_IMAGES_MAGIC, BlobSpec, RingSpec, _read_idx, blob_means,
-                        gen_blobs, gen_rings)
+from codim.data import IDX_IMAGES_MAGIC, BlobSpec, _read_idx, blob_means, gen_blobs
 from codim.errors import IdxParseError, ParameterError
 from codim.noise import NoiseSpec
 
@@ -58,33 +57,11 @@ def test_blob_spec_validation():
     for name in ("class_separation", "intra_std"):
         with pytest.raises(ParameterError, match=f"{name} = inf must be finite"):
             BlobSpec(**{name: float("inf")})
-    for name in ("base_radius", "radius_step", "radial_std"):
-        for bad in (-1.0, float("inf"), float("nan")):
-            with pytest.raises(ParameterError, match=f"{name} = {bad} must be finite"):
-                RingSpec(**{name: bad})
     for name in ("num_classes", "dim", "samples_per_class"):
         with pytest.raises(ParameterError, match=f"{name} = 0 must be >= 1"):
             BlobSpec(**{name: 0})
-    for name in ("num_classes", "samples_per_class"):
-        with pytest.raises(ParameterError, match=f"{name} = 0 must be >= 1"):
-            RingSpec(**{name: 0})
-    for spec in (BlobSpec, RingSpec):
-        with pytest.raises(ParameterError, match="seed = -1"):
-            spec(seed=-1)
-
-
-def test_rings_not_linearly_separable_but_radially_separable():
-    ds = gen_rings(RingSpec(num_classes=2, samples_per_class=600, seed=0))
-    # least-squares linear probe on raw coordinates stays near chance
-    A = np.column_stack([ds.x, np.ones(ds.n)])
-    w, *_ = np.linalg.lstsq(A, 2.0 * ds.clean_labels - 1.0, rcond=None)
-    preds = (np.column_stack([ds.test_x, np.ones(len(ds.test_labels))]) @ w) > 0
-    linear_acc = (preds == ds.test_labels.astype(bool)).mean()
-    assert linear_acc < 0.65
-    # but the radius separates the rings almost perfectly
-    radial_acc = ((np.linalg.norm(ds.test_x, axis=1) > 1.5)
-                  == ds.test_labels.astype(bool)).mean()
-    assert radial_acc > 0.99
+    with pytest.raises(ParameterError, match="seed = -1"):
+        BlobSpec(seed=-1)
 
 
 def test_with_noise_and_with_labels_bookkeeping():

@@ -130,8 +130,7 @@ def test_every_public_name_has_a_caller_outside_tests():
 
 
 # what config.make_dataset and make_train_config build from a config's values
-SPEC_BUILDERS = {"BlobSpec", "RingSpec", "NoiseSpec", "AugmentSpec", "TrainConfig",
-                 "gen_blobs", "gen_rings"}
+SPEC_BUILDERS = {"BlobSpec", "NoiseSpec", "AugmentSpec", "TrainConfig", "gen_blobs"}
 
 
 def called_names(source: str) -> set[str]:

@@ -26,10 +26,10 @@ def test_spec_validation():
         NoiseSpec("asymmetric", 0.4, class_map={0: 0})
     with pytest.raises(ParameterError):
         NoiseSpec("symmetric", 0.4, class_map={0: 1})
-    with pytest.raises(ParameterError, match="seed = -1"):
+    with pytest.raises(ParameterError, match="noise_seed = -1"):
         NoiseSpec("symmetric", 0.4, seed=-1)
     for bad in (-0.1, np.nan, np.inf):
-        with pytest.raises(ParameterError, match=f"noise ratio = {bad} must be finite"):
+        with pytest.raises(ParameterError, match=f"noise_ratio = {bad} must be finite"):
             NoiseSpec("symmetric", bad)
     with pytest.raises(ParameterError, match="num_classes >= 2"):
         inject_noise(np.zeros(10, dtype=int), 1,
