@@ -13,7 +13,7 @@ from .contrastive import AugmentSpec
 from .data import BlobSpec, Dataset, gen_blobs
 from .errors import ConfigError, ParameterError
 from .mixmatch import SslHyper
-from .noise import NoiseSpec, adjacent_pair_map
+from .noise import NOISE_KINDS, NoiseSpec
 from .trainers import MODES, TrainConfig
 
 
@@ -61,10 +61,8 @@ def _keys(cls, **by_hand) -> dict[str, tuple]:
 SCHEMA: dict[str, tuple] = {
     "dataset": (_choice("blobs"), "blobs"),
     **_keys(BlobSpec, seed={"data_seed": (int, 0)}),
-    "noise_kind": (_choice("none", "symmetric", "asymmetric"), "symmetric"),
-    "noise_ratio": (float, 0.4),
-    "noise_seed": (int, 1),
-    "redraw_over_all": (_bool, True),
+    **_keys(NoiseSpec, kind={"noise_kind": (_choice(*NOISE_KINDS), "symmetric")},
+            ratio={"noise_ratio": (float, 0.4)}, seed={"noise_seed": (int, 1)}),
     **_keys(AugmentSpec, scale_range={"scale_lo": (float, AugmentSpec.scale_range[0]),
                                       "scale_hi": (float, AugmentSpec.scale_range[1])}),
     **_keys(SslHyper),
@@ -124,18 +122,10 @@ def _build(cls, values: dict, **given):
 
 
 def make_dataset(values: dict) -> Dataset:
-    for key, rule in (("data_seed", ">= 0"), ("noise_ratio", "in [0, 1]"), ("noise_seed", ">= 0")):
-        ParameterError.check_value(key, values[key], rule)
-    ds = gen_blobs(_build(BlobSpec, values, seed=values["data_seed"]))
-    if values["noise_kind"] != "none" and values["noise_ratio"] > 0:
-        class_map = (adjacent_pair_map(ds.num_classes)
-                     if values["noise_kind"] == "asymmetric" else None)
-        ds = ds.with_noise(NoiseSpec(kind=values["noise_kind"],
-                                     ratio=values["noise_ratio"],
-                                     seed=values["noise_seed"],
-                                     class_map=class_map,
-                                     redraw_over_all=values["redraw_over_all"]))
-    return ds
+    ParameterError.check_value("data_seed", values["data_seed"], ">= 0")
+    noise = _build(NoiseSpec, values, kind=values["noise_kind"],
+                   ratio=values["noise_ratio"], seed=values["noise_seed"])
+    return gen_blobs(_build(BlobSpec, values, seed=values["data_seed"])).with_noise(noise)
 
 
 def make_train_config(values: dict) -> TrainConfig:

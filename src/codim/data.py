@@ -59,7 +59,7 @@ class BlobSpec:
     seed: int = 0
 
     def __post_init__(self):
-        ParameterError.check(self, ">= 1", "num_classes", "dim", "samples_per_class")
+        ParameterError.check(self, ">= 1", "num_classes", "dim")
         if self.samples_per_class < 3:  # the least that gives each class a test row
             raise ParameterError(f"samples_per_class = {self.samples_per_class} must be >= 3")
         ParameterError.check(self, ">= 0", "seed")

@@ -32,7 +32,6 @@ class Mlp:
 
     def __init__(self, sizes: list[int], rng: np.random.Generator,
                  final_relu: bool = False):
-        self.sizes = list(sizes)
         self.final_relu = final_relu
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []

@@ -10,86 +10,66 @@ from .errors import DegenerateInputError, ParameterError
 from .models import ModelTriple
 
 
+NOISE_KINDS = ("none", "symmetric", "asymmetric")
+
+
 @dataclass
 class NoiseSpec:
-    kind: str  # "symmetric" or "asymmetric"
+    kind: str  # one of NOISE_KINDS
     ratio: float
     seed: int = 0
-    class_map: dict[int, int] | None = None
     redraw_over_all: bool = True  # symmetric: redraw over all C classes (default)
                                   # vs strictly over the other C-1 classes
 
     def __post_init__(self):
-        if self.kind not in ("symmetric", "asymmetric"):
+        if self.kind not in NOISE_KINDS:
             raise ParameterError(f"unknown noise kind {self.kind!r}")
         ParameterError.check_value("noise_ratio", self.ratio, "in [0, 1]")
         ParameterError.check_value("noise_seed", self.seed, ">= 0")
-        if self.kind == "asymmetric":
-            if self.class_map is None:
-                raise ParameterError("asymmetric noise requires a class_map")
-            for src, dst in self.class_map.items():
-                if src == dst:
-                    raise ParameterError(f"class_map maps class {src} to itself")
-        elif self.class_map is not None:
-            raise ParameterError("symmetric noise forbids a class_map")
-
-
-def adjacent_pair_map(num_classes: int) -> dict[int, int]:
-    """Pair adjacent class ids (0<->1, 2<->3, ...); an odd last class wraps to 0."""
-    mapping = {}
-    for c in range(num_classes):
-        if c % 2 == 0:
-            mapping[c] = c + 1 if c + 1 < num_classes else 0
-        else:
-            mapping[c] = c - 1
-    return mapping
 
 
 def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec) -> np.ndarray:
     """Redraw the labels of round(ratio*N) randomly chosen rows; returns the
-    noisy labels.
+    noisy labels, a copy of ``labels`` for kind "none" or ratio 0.
 
-    Raises ParameterError for a class_map entry outside [0, num_classes), and
-    where, within a class, some wrong label would be expected at least as
-    often as the true one: no method can recover the classes then. The ratio
-    must stay below (C-1)/C for strict symmetric noise, 1 for symmetric noise
-    redrawn over all classes and 0.5 for asymmetric noise.
+    Asymmetric noise flips a row to its pair partner: 0<->1, 2<->3, ..., with
+    an odd last class going to 0. Raises ParameterError where, within a class,
+    some wrong label would be expected at least as often as the true one: no
+    method can recover the classes then. The ratio must stay below (C-1)/C
+    for strict symmetric noise, 1 for symmetric noise redrawn over all
+    classes and 0.5 for asymmetric noise.
     """
-    if spec.kind == "asymmetric":
-        regime, bound = "asymmetric", 0.5
-        for src, dst in spec.class_map.items():
-            if not (0 <= src < num_classes and 0 <= dst < num_classes):
-                raise ParameterError(
-                    f"class_map entry {src} -> {dst} is outside [0, {num_classes})")
-    elif spec.redraw_over_all:
+    labels = np.asarray(labels, dtype=np.intp)
+    if spec.kind == "none" or spec.ratio == 0:
+        return labels.copy()
+    if spec.kind == "symmetric" and spec.redraw_over_all:
         regime, bound = "symmetric (redrawn over all classes)", 1.0
     else:
+        regime = "asymmetric" if spec.kind == "asymmetric" else "strict symmetric"
         if num_classes < 2:
-            raise ParameterError("strict symmetric noise needs num_classes >= 2")
-        regime, bound = "strict symmetric", (num_classes - 1) / num_classes
+            raise ParameterError(f"{regime} noise needs num_classes >= 2")
+        bound = 0.5 if spec.kind == "asymmetric" else (num_classes - 1) / num_classes
     if spec.ratio >= bound:
         raise ParameterError(
             f"{regime} noise at ratio {spec.ratio} with C = {num_classes} classes "
             f"makes a wrong label at least as frequent as the true one; "
             f"the ratio must be < {bound:.4g}")
-    labels = np.asarray(labels, dtype=np.intp)
     n = len(labels)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n_flip = int(round(spec.ratio * n))
     selected = rng.choice(n, size=n_flip, replace=False)
     noisy = labels.copy()
-    if spec.kind == "symmetric":
-        if spec.redraw_over_all:
-            noisy[selected] = rng.integers(0, num_classes, size=n_flip)
-        else:
-            draws = rng.integers(0, num_classes - 1, size=n_flip)
-            draws += draws >= labels[selected]
-            noisy[selected] = draws
+    if spec.kind == "asymmetric":
+        partner = np.arange(num_classes) ^ 1
+        if num_classes % 2:  # an odd last class has no partner: it goes to 0
+            partner[-1] = 0
+        noisy[selected] = partner[labels[selected]]
+    elif spec.redraw_over_all:
+        noisy[selected] = rng.integers(0, num_classes, size=n_flip)
     else:
-        mapping = np.arange(num_classes)
-        for src, dst in spec.class_map.items():
-            mapping[src] = dst
-        noisy[selected] = mapping[labels[selected]]
+        draws = rng.integers(0, num_classes - 1, size=n_flip)
+        draws += draws >= labels[selected]
+        noisy[selected] = draws
     return noisy
 
 

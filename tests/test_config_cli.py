@@ -489,6 +489,8 @@ def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys):
     ("gen", "dataset = rings", "bad value for 'dataset'"),
     pytest.param("train", "num_classes = 1\nsamples_per_class = 5", "num_classes",
                  id="train-one-class-test-split-num_classes"),
+    pytest.param("gen", "num_classes = 1\nnoise_kind = asymmetric", "num_classes",
+                 id="gen-one-class-asymmetric-num_classes"),
 ])
 def test_cli_config_value_that_used_to_crash_exits_2(tmp_path, capsys, command, line, key):
     cfg, out_dir = write_config(tmp_path, line + "\n")

@@ -57,9 +57,12 @@ def test_blob_spec_validation():
     for name in ("class_separation", "intra_std"):
         with pytest.raises(ParameterError, match=f"{name} = inf must be finite"):
             BlobSpec(**{name: float("inf")})
-    for name in ("num_classes", "dim", "samples_per_class"):
+    for name in ("num_classes", "dim"):
         with pytest.raises(ParameterError, match=f"{name} = 0 must be >= 1"):
             BlobSpec(**{name: 0})
+    for bad in (0, 1, 2):
+        with pytest.raises(ParameterError, match=f"samples_per_class = {bad} must be >= 3"):
+            BlobSpec(samples_per_class=bad)
     with pytest.raises(ParameterError, match="seed = -1"):
         BlobSpec(seed=-1)
 

@@ -1,10 +1,11 @@
 """Every name a module under src/codim, tests/ or scripts/ imports is used in
 that module, every module-level private name a module under src/codim or
 scripts/ defines is referenced elsewhere in it, every public top-level
-function and class of src/codim has a reader outside tests/, scripts/
-reproduce.py builds its runs only from config text, every random stream of
-the trainers has its own tag, and every codim name the benchmark under
-bench/ calls or expects to see traced still resolves."""
+function and class of src/codim and every attribute a codim class sets has
+a reader outside tests/, scripts/reproduce.py builds its runs only from
+config text, every random stream of the trainers has its own tag, and every
+codim name the benchmark under bench/ calls or expects to see traced still
+resolves."""
 
 import ast
 import importlib
@@ -127,6 +128,42 @@ def test_every_public_name_has_a_caller_outside_tests():
     defining = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
     calling = [path.read_text(encoding="utf-8") for path in CODE + list(BENCH.glob("*.py"))]
     assert uncalled_public_names(defining, calling) == sorted(UNCALLED)
+
+
+# attributes that a codim class sets and nothing yet reads, each with the
+# ROADMAP item that gives it a reader or removes it
+UNREAD_ATTRIBUTES = {"pretrain_losses": "item 3"}
+
+
+def unread_attributes(defining: list[str], reading: list[str]) -> list[str]:
+    """The names of every ``self.<name> = ...`` in the ``defining`` sources
+    that no ``.<name>`` of the ``reading`` sources loads."""
+    assigned, read = set(), set()
+    for source in defining:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"):
+                assigned.add(node.attr)
+    for source in reading:
+        read.update(node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return sorted(assigned - read)
+
+
+def test_detects_unread_attribute():
+    defining = ("class Net:\n    def __init__(self):\n"
+                "        self.used = 1\n        self.dead: int = 2\n        self.count = 0\n"
+                "    def step(self):\n        self.count += self.used\n")
+    assert unread_attributes([defining], [defining]) == ["count", "dead"]
+    assert unread_attributes([defining], [defining, "print(net.dead)\n"]) == ["count"]
+
+
+def test_every_attribute_a_codim_class_sets_has_a_reader():
+    """Each name in UNREAD_ATTRIBUTES must still lack a reader, so the list
+    cannot outlive the ROADMAP item that settles it."""
+    defining = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
+    reading = [path.read_text(encoding="utf-8") for path in CODE + list(BENCH.glob("*.py"))]
+    assert unread_attributes(defining, reading) == sorted(UNREAD_ATTRIBUTES)
 
 
 # what config.make_dataset and make_train_config build from a config's values

@@ -8,9 +8,9 @@ import pytest
 from codim.data import BlobSpec, gen_blobs
 from codim.errors import DegenerateInputError, ParameterError
 from codim.models import Arch, ModelTriple
-from codim.noise import (GmmParams, NoiseSpec, Partition, adjacent_pair_map,
-                         fit_gmm_1d, inject_noise, make_partition,
-                         partition_by_losses, partition_losses, per_sample_losses)
+from codim.noise import (GmmParams, NoiseSpec, Partition, fit_gmm_1d, inject_noise,
+                         make_partition, partition_by_losses, partition_losses,
+                         per_sample_losses)
 
 from conftest import rng_for
 
@@ -20,20 +20,16 @@ def test_spec_validation():
         NoiseSpec("uniform", 0.4)
     with pytest.raises(ParameterError):
         NoiseSpec("symmetric", 1.5)
-    with pytest.raises(ParameterError):
-        NoiseSpec("asymmetric", 0.4)  # missing class_map
-    with pytest.raises(ParameterError):
-        NoiseSpec("asymmetric", 0.4, class_map={0: 0})
-    with pytest.raises(ParameterError):
-        NoiseSpec("symmetric", 0.4, class_map={0: 1})
-    with pytest.raises(ParameterError, match="noise_seed = -1"):
-        NoiseSpec("symmetric", 0.4, seed=-1)
-    for bad in (-0.1, np.nan, np.inf):
-        with pytest.raises(ParameterError, match=f"noise_ratio = {bad} must be finite"):
-            NoiseSpec("symmetric", bad)
-    with pytest.raises(ParameterError, match="num_classes >= 2"):
-        inject_noise(np.zeros(10, dtype=int), 1,
-                     NoiseSpec("symmetric", 0.4, redraw_over_all=False))
+    for kind in ("none", "symmetric", "asymmetric"):
+        with pytest.raises(ParameterError, match="noise_seed = -1"):
+            NoiseSpec(kind, 0.4, seed=-1)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ParameterError, match=f"noise_ratio = {bad} must be finite"):
+                NoiseSpec(kind, bad)
+    for regime, spec in (("strict symmetric", NoiseSpec("symmetric", 0.4, redraw_over_all=False)),
+                         ("asymmetric", NoiseSpec("asymmetric", 0.4))):
+        with pytest.raises(ParameterError, match=f"^{regime} noise needs num_classes >= 2$"):
+            inject_noise(np.zeros(10, dtype=int), 1, spec)
 
 
 @pytest.mark.parametrize("c, spec, bound", [
@@ -41,7 +37,7 @@ def test_spec_validation():
     (3, NoiseSpec("symmetric", 2 / 3, redraw_over_all=False), "0.6667"),
     (2, NoiseSpec("symmetric", 0.5, redraw_over_all=False), "0.5"),
     (4, NoiseSpec("symmetric", 1.0), "1"),
-    (4, NoiseSpec("asymmetric", 0.5, class_map=adjacent_pair_map(4)), "0.5"),
+    (4, NoiseSpec("asymmetric", 0.5), "0.5"),
 ], ids=["strict-c4", "strict-c3", "strict-c2", "over-all", "asymmetric"])
 def test_noise_without_a_true_majority_rejected(c, spec, bound):
     """At the bound a wrong label is expected as often as the true one within
@@ -58,9 +54,28 @@ def test_noise_without_a_true_majority_rejected(c, spec, bound):
         assert changed == round(below.ratio * 40)
 
 
-def test_adjacent_pair_map():
-    assert adjacent_pair_map(4) == {0: 1, 1: 0, 2: 3, 3: 2}
-    assert adjacent_pair_map(3) == {0: 1, 1: 0, 2: 0}
+# the asymmetric pair flip, written out class by class: 0<->1, 2<->3, ...,
+# and an odd last class, which has no partner, to 0
+PAIR_MAPS = {3: np.array([1, 0, 0]), 4: np.array([1, 0, 3, 2]), 5: np.array([1, 0, 3, 2, 0])}
+
+
+@pytest.mark.parametrize("c", [4, 3])
+def test_asymmetric_noise_flips_to_the_pair_partner(c):
+    labels = np.arange(40 * c) % c
+    noisy = inject_noise(labels, c, NoiseSpec("asymmetric", 0.45, seed=2))
+    changed = noisy != labels
+    assert changed.sum() == round(0.45 * len(labels))
+    assert np.array_equal(noisy[changed], PAIR_MAPS[c][labels[changed]])
+    assert set(labels[changed]) == set(range(c))
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.4, 1.0])
+def test_none_noise_leaves_the_labels_alone(ratio):
+    labels = np.arange(40) % 4
+    noisy = inject_noise(labels, 4, NoiseSpec("none", ratio, seed=3))
+    assert np.array_equal(noisy, labels)
+    noisy[0] = 3
+    assert labels[0] == 0
 
 
 def test_symmetric_binomial_oracle():
@@ -89,27 +104,16 @@ def test_symmetric_strict_convention_always_differs():
 def test_asymmetric_flips_exact_count_through_map():
     n, c, r = 3000, 4, 0.4
     labels = rng_for(0xD2).integers(0, c, size=n)
-    mapping = adjacent_pair_map(c)
-    noisy = inject_noise(
-        labels, c, NoiseSpec("asymmetric", r, seed=5, class_map=mapping))
+    noisy = inject_noise(labels, c, NoiseSpec("asymmetric", r, seed=5))
     changed = noisy != labels
     assert changed.sum() == round(r * n) == 1200
-    lut = np.array([mapping[i] for i in range(c)])
-    assert (noisy[changed] == lut[labels[changed]]).all()
+    assert (noisy[changed] == PAIR_MAPS[c][labels[changed]]).all()
 
 
 def test_inject_noise_deterministic():
     labels = np.arange(100) % 5
     spec = NoiseSpec("symmetric", 0.3, seed=11)
     assert np.array_equal(inject_noise(labels, 5, spec), inject_noise(labels, 5, spec))
-
-
-@pytest.mark.parametrize("class_map", [{0: 7}, {0: -1}, {9: 0}],
-                         ids=["target-above", "target-negative", "source-above"])
-def test_class_map_outside_the_classes_rejected(class_map):
-    spec = NoiseSpec("asymmetric", 0.4, class_map=class_map)
-    with pytest.raises(ParameterError, match=r"class_map entry .* outside \[0, 4\)"):
-        inject_noise(np.arange(40) % 4, 4, spec)
 
 
 def _selected_rows_inject_noise(labels, num_classes, spec):
@@ -132,32 +136,22 @@ def _selected_rows_inject_noise(labels, num_classes, spec):
             draws += draws >= labels[selected]
             noisy[selected] = draws
     else:
-        mapping = np.arange(num_classes)
-        for src, dst in spec.class_map.items():
-            mapping[src] = dst
-        noisy[selected] = mapping[labels[selected]]
+        noisy[selected] = PAIR_MAPS[num_classes][labels[selected]]
     return noisy, flip_mask
-
-
-# The CIFAR-10 asymmetric map of Patrini et al. (arXiv:1609.03683), as used by
-# DivideMix: truck -> automobile, bird -> airplane, deer -> horse, cat <-> dog.
-PARTIAL_MAP = {9: 1, 2: 0, 4: 7, 3: 5, 5: 3}
 NOISE_KINDS = {
     "strict": (4, [0.2, 0.4, 0.7], lambda r, s: NoiseSpec(
         "symmetric", r, seed=s, redraw_over_all=False)),
     "over-all": (4, [0.2, 0.5, 0.8, 0.9], lambda r, s: NoiseSpec("symmetric", r, seed=s)),
-    "full-map": (4, [0.2, 0.4, 0.45], lambda r, s: NoiseSpec(
-        "asymmetric", r, seed=s, class_map=adjacent_pair_map(4))),
-    "partial-map": (10, [0.2, 0.4, 0.45], lambda r, s: NoiseSpec(
-        "asymmetric", r, seed=s, class_map=PARTIAL_MAP)),
+    "full-map": (4, [0.2, 0.4, 0.45], lambda r, s: NoiseSpec("asymmetric", r, seed=s)),
+    "odd-pair-map": (5, [0.2, 0.4, 0.45], lambda r, s: NoiseSpec("asymmetric", r, seed=s)),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
 def test_noisy_labels_match_the_selected_rows_oracle(kind):
     """Same draws as the oracle, byte for byte, and ``flip_mask`` marks the
-    rows whose label changed: every selected row for strict and full-map
-    noise, a subset of them for the other two."""
+    rows whose label changed: every selected row, except for noise redrawn
+    over all classes, where a redraw may keep its label."""
     c, ratios, make = NOISE_KINDS[kind]
     clean = gen_blobs(BlobSpec(num_classes=c, samples_per_class=150, seed=3))
     for ratio in ratios:
@@ -170,14 +164,11 @@ def test_noisy_labels_match_the_selected_rows_oracle(kind):
             assert ds.noisy_labels.tobytes() == want.tobytes()
             assert np.array_equal(ds.flip_mask, ds.noisy_labels != ds.clean_labels)
             assert not (ds.flip_mask & ~selected).any()
-            if kind in ("strict", "full-map"):
+            if kind == "over-all":
+                assert ds.flip_mask.sum() < selected.sum()
+            else:
                 assert np.array_equal(ds.flip_mask, selected)
                 assert ds.flip_mask.sum() == round(ratio * ds.n)
-            else:
-                assert ds.flip_mask.sum() < selected.sum()
-            if kind == "partial-map":  # a selected row of an unmapped class keeps its label
-                mapped = np.isin(ds.clean_labels, list(PARTIAL_MAP))
-                assert np.array_equal(ds.flip_mask, selected & mapped)
 
 
 # ------------------------------------------------------------------ GMM
