@@ -17,22 +17,32 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionError, ContractError
 
 EPS_NORM = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 
 
 class Tensor:
     """A node in the computation graph.
 
-    ``data`` is a row-major float64 ndarray, ``grad`` (same shape) is
-    allocated lazily by ``backward``. Leaf tensors created with
+    ``data`` is a native float64 ndarray (a float64 one is kept as given,
+    strided or not), ``grad`` (same shape) is allocated lazily by
+    ``backward``. Leaf tensors created with
     ``requires_grad=True`` act as parameters.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # np.asarray returns a native float64 ndarray as it is: skip the call
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        if not requires_grad:
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self._parents = tuple(parents)
         self._backward = backward
 
@@ -51,7 +61,7 @@ class Tensor:
             raise DimensionError("backward() requires a scalar output")
         order = []
         _post_order(self, set(), order)
-        self.grad = np.ones_like(self.data)
+        self.grad = np.ones(self.data.shape)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -262,32 +272,49 @@ def info_nce(z, keys, tau: float) -> Tensor:
     other row and its positives the other rows with ``keys[i]``, the 0/1
     matrix P. The per-anchor term is the log-sum-exp over candidates minus
     the mean positive similarity z_i . (P z)_i / count_i / tau; anchors with
-    no positive are left out of the mean. Besides P, the forward pass holds
-    one n x n buffer: S, turned in place into the shifted exponentials E.
-    With a = w g / s and c = w g / count per anchor (w its weight in the
-    mean, s its row sum of E), the gradient is
+    no positive are left out of the mean. ``keys=None`` means sibling pairs:
+    rows 2k and 2k + 1 are each other's one positive, so P is the row
+    permutation i -> i ^ 1, every count is 1 and each product with P is a
+    row gather; no P is built. Besides P, the forward pass holds one n x n
+    buffer: S, turned in place into the shifted exponentials E. With
+    a = w g / s and c = w g / count per anchor (w its weight in the mean,
+    s its row sum of E), the gradient is
     dz = (a E z + E^T (a z) - c P z - P (c z)) / tau.
     """
     z = _wrap(z)
-    keys = np.asarray(keys)
-    if z.data.ndim != 2 or keys.shape != z.data.shape[:1]:
-        raise DimensionError(f"info_nce: embeddings {z.shape} with keys {keys.shape}")
-    n = keys.shape[0]
-    positives = np.empty((n, n))
-    np.equal(keys[:, None], keys, out=positives)
-    positives.flat[::n + 1] = 0.0
+    zd = z.data
+    if zd.ndim != 2:
+        raise DimensionError(f"info_nce: embeddings {z.shape} are not one row per view")
+    n = zd.shape[0]
     ones = np.ones(n)
-    counts = positives @ ones
-    valid = counts > 0
+    if keys is None:
+        if n % 2:
+            raise DimensionError(f"info_nce: {n} rows are not sibling pairs")
+        sib = np.arange(n) ^ 1
+
+        def positive_sum(v):
+            return v.take(sib, axis=0)
+
+        valid, inv_counts = np.ones(n, dtype=bool), 1.0
+    else:
+        keys = np.asarray(keys)
+        if keys.shape != (n,):
+            raise DimensionError(f"info_nce: embeddings {z.shape} with keys {keys.shape}")
+        positives = np.empty((n, n))
+        np.equal(keys[:, None], keys, out=positives)
+        positives.ravel()[::n + 1] = 0.0
+        positive_sum = positives.__matmul__
+        counts = positives @ ones
+        valid = counts > 0
+        inv_counts = 1.0 / np.maximum(counts, 1.0)
     if not valid.any():
         raise DegenerateInputError("contrastive loss: no anchor has a positive")
     inv_tau = 1.0 / tau
-    zd = z.data
-    pos_z = positives @ zd
+    pos_z = positive_sum(zd)
     # a GEMM on a contiguous z^T: numpy sends z @ z.T to a slower syrk path
     e = zd @ np.ascontiguousarray(zd.T)
     e *= inv_tau
-    e.flat[::n + 1] = -np.inf
+    e.ravel()[::n + 1] = -np.inf  # a view: e is contiguous
     # the row max, read down the columns of the symmetric S, which numpy
     # reduces with vector loads
     m = e.max(axis=0)
@@ -295,14 +322,13 @@ def info_nce(z, keys, tau: float) -> Tensor:
     np.exp(e, out=e)
     s = e @ ones
     weight = valid / valid.sum()
-    inv_counts = 1.0 / np.maximum(counts, 1.0)
     per_anchor = m + np.log(s) - np.einsum("ij,ij->i", zd, pos_z) * (inv_counts * inv_tau)
 
     def backward(g):
         if z.requires_grad:
             a = (weight * g / s)[:, None]
             c = (weight * g * inv_counts)[:, None]
-            dz = a * (e @ zd) + e.T @ (a * zd) - c * pos_z - positives @ (c * zd)
+            dz = a * (e @ zd) + e.T @ (a * zd) - c * pos_z - positive_sum(c * zd)
             dz *= inv_tau
             _accumulate(z, dz)
 
@@ -318,22 +344,23 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self._scratch = {name: np.empty_like(p.data) for name, p in self.params.items()}
+        # (parameter, velocity, scratch) per parameter, in the order of params
+        self._state = [(p, np.zeros_like(p.data), np.empty_like(p.data))
+                       for p in self.params.values()]
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
     def step(self):
-        for name, p in self.params.items():
+        lr, momentum, weight_decay = self.lr, self.momentum, self.weight_decay
+        for p, v, buf in self._state:
             if p.grad is None:
                 continue
-            v, buf = self.velocity[name], self._scratch[name]
             # v = momentum v + (grad + wd p); p -= lr v, in that order
-            np.multiply(p.data, self.weight_decay, out=buf)
+            np.multiply(p.data, weight_decay, out=buf)
             buf += p.grad
-            v *= self.momentum
+            v *= momentum
             v += buf
-            np.multiply(v, self.lr, out=buf)
+            np.multiply(v, lr, out=buf)
             p.data -= buf

@@ -58,9 +58,10 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         ParameterError.check(self, ">= 0", "pretrain_steps", "warmup_epochs", "iters_per_epoch",
-                             "label_correction_epochs", "seed", "momentum", "weight_decay",
-                             "lambda_sup", "lambda_self")
-        ParameterError.check(self, ">= 1", "epochs", "proj_hidden", "proj_dim")
+                             "seed", "momentum", "weight_decay", "lambda_sup", "lambda_self")
+        # a relabeling head trained for no epoch would hand out its init's argmax
+        ParameterError.check(self, ">= 1", "epochs", "label_correction_epochs", "proj_hidden",
+                             "proj_dim")
         if self.batch_size < 2:
             raise ParameterError(f"batch_size = {self.batch_size} must be >= 2: a contrastive "
                                  "batch needs two source rows")
@@ -156,8 +157,9 @@ def pretrain_selfcon(dataset: Dataset, m: ModelTriple, cfg: TrainConfig) -> list
     rng = _rng(cfg.seed, 0xA1)
     opt = cfg.sgd(m.params("feat", "proj"))
     losses = []
+    pool = np.arange(dataset.n)
     for _ in range(cfg.pretrain_steps):
-        idx = _draw(rng, np.arange(dataset.n), cfg.batch_size)
+        idx = _draw(rng, pool, cfg.batch_size)
         views = make_view_batch(m, dataset.x[idx], cfg.aug, rng)
         losses.append(_step(opt, self_con_loss(views, cfg.tau1)))
     return losses
@@ -351,9 +353,10 @@ def train_ce(dataset: Dataset, cfg: TrainConfig) -> tuple[ModelTriple, RunRecord
     net = ModelTriple(cfg.arch(dataset.dim, dataset.num_classes), seed=cfg.seed)
     opt = cfg.sgd(net.params())
     rng = _rng(cfg.seed, 0xF6)
+    pool = np.arange(dataset.n)
 
     def step(epoch, it, j):
-        idx = _draw(rng, np.arange(dataset.n), cfg.batch_size)
+        idx = _draw(rng, pool, cfg.batch_size)
         loss = T.softmax_cross_entropy(
             net.forward_logits(dataset.x[idx]),
             one_hot(dataset.noisy_labels[idx], dataset.num_classes))

@@ -473,6 +473,7 @@ def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys):
     ("cssl", "tau2 = 0", "tau2"),
     ("train", "tau3 = 0", "tau3"),
     ("train", "epochs = 0", "epochs"),
+    ("train", "label_correction_epochs = 0", "label_correction_epochs"),
     ("train", "seed = -1", "seed"),
     ("gen", "noise_seed = -1", "noise_seed"),
     ("train", "scale_hi = inf", "scale_hi"),

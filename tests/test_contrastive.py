@@ -1,6 +1,8 @@
 """Contrastive losses against brute-force double-loop oracles, plus
 augmentation and view-batch mechanics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,22 @@ def test_losses_invariant_to_view_permutation():
         pz = z.data[perm]
         assert abs(T.info_nce(pz, sources[perm], 0.4).item() - base_self) <= 1e-12
         assert abs(T.info_nce(pz, view_labels[perm], 0.4).item() - base_sup) <= 1e-12
+
+
+def test_self_con_holds_one_n_by_n_array():
+    """SelfCon's positives are the sibling rows, gathered: its forward and
+    backward pass on 512 views hold the similarity buffer and no n x n
+    positives matrix beside it."""
+    z, _ = random_view_batch(rng_for(0xB9), 256, 16)
+    n = len(z.data)
+    tracemalloc.start()
+    try:
+        loss = self_con_loss(z, 0.5)
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n * n * 8 < peak < 1.5 * n * n * 8
 
 
 def test_sup_con_skips_anchor_without_positives():

@@ -141,6 +141,61 @@ def test_info_nce_with_nothing_to_contrast_rejected():
         T.info_nce(Tensor(np.eye(3)), np.array([0, 1, 2]), 0.5)
     with pytest.raises(DimensionError):
         T.info_nce(Tensor(np.eye(3)), np.array([0, 0]), 0.5)
+    with pytest.raises(DegenerateInputError):
+        T.info_nce(Tensor(np.ones((0, 3))), None, 0.5)
+    # sibling pairs need an even row count: row 4 has no row 5 to gather
+    with pytest.raises(DimensionError, match="5 rows"):
+        T.info_nce(Tensor(np.eye(5)), None, 0.5)
+
+
+def dense_info_nce(zd, keys, tau):
+    """info_nce's key-matrix form on arrays, the reference that the sibling
+    gather must reproduce bit for bit: the 0/1 positives matrix P, its counts
+    from a GEMV and the products P z and P (c z) as GEMMs. Returns the value
+    and the z-gradient for an upstream gradient of 1."""
+    n = len(zd)
+    positives = (keys[:, None] == keys).astype(np.float64)
+    np.fill_diagonal(positives, 0.0)
+    ones = np.ones(n)
+    counts = positives @ ones
+    valid = counts > 0
+    inv_tau = 1.0 / tau
+    pos_z = positives @ zd
+    e = zd @ np.ascontiguousarray(zd.T)
+    e *= inv_tau
+    np.fill_diagonal(e, -np.inf)
+    m = e.max(axis=0)
+    e -= m[:, None]
+    np.exp(e, out=e)
+    s = e @ ones
+    weight = valid / valid.sum()
+    inv_counts = 1.0 / np.maximum(counts, 1.0)
+    per_anchor = m + np.log(s) - np.einsum("ij,ij->i", zd, pos_z) * (inv_counts * inv_tau)
+    a = (weight / s)[:, None]
+    c = (weight * inv_counts)[:, None]
+    dz = a * (e @ zd) + e.T @ (a * zd) - c * pos_z - positives @ (c * zd)
+    dz *= inv_tau
+    return (per_anchor * weight).sum(), dz
+
+
+@pytest.mark.parametrize("tau", [0.07, 0.5, 1e-3])
+def test_sibling_info_nce_is_bit_identical_to_the_key_matrix_form(tau):
+    """keys=None gathers each row's sibling where the key-matrix form
+    multiplies by P: for every even n from 4 to 256 the value and the
+    z-gradient equal the dense form's byte for byte, zero signs too, and so
+    do those of info_nce given the sibling keys."""
+    for n in range(4, 257, 2):
+        r = rng_for(0x5B, n, zlib.crc32(repr(tau).encode()))
+        zd = r.normal(size=(n, int(r.integers(2, 33))))
+        zd /= np.linalg.norm(zd, axis=1, keepdims=True)
+        want_value, want_dz = dense_info_nce(zd, np.arange(n) // 2, tau)
+        for keys in (None, np.arange(n) // 2):
+            z = Tensor(zd, requires_grad=True)
+            loss = T.info_nce(z, keys, tau)
+            loss.backward()
+            assert loss.data.tobytes() == want_value.tobytes(), (n, keys)
+            assert z.grad.tobytes() == want_dz.tobytes(), (n, keys)
+            assert np.array_equal(np.signbit(z.grad), np.signbit(want_dz))
 
 
 def test_mixmatch_loss_lu_is_zero_at_numpy_softmax():
@@ -199,6 +254,34 @@ def test_l2_normalize_unit_rows_and_degenerate():
 
 
 # ---------------------------------------------------------------- graph
+
+@pytest.mark.parametrize("data", [
+    np.arange(6).reshape(2, 3),
+    [[1, 2, 3], [4, 5, 6]],
+    np.arange(6, dtype=np.float32).reshape(2, 3),
+    np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2],
+    np.arange(12.0).reshape(3, 4)[:, ::2],
+    np.arange(6.0).astype(">f8"),
+    3,
+], ids=["int", "list", "float32", "float32-strided", "float64-strided", "big-endian", "scalar"])
+def test_tensor_data_is_native_float64(data):
+    """Any input becomes native float64 data with the input's values; a
+    float64 ndarray is kept as it is, as np.asarray keeps it."""
+    t = Tensor(data)
+    assert t.data.dtype == np.float64 and t.data.dtype.isnative
+    assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
+    if isinstance(data, np.ndarray) and data.dtype == np.float64 and data.dtype.isnative:
+        assert t.data is data
+
+
+def test_requires_grad_propagates_from_any_parent():
+    const, param = Tensor(np.ones(2)), Tensor(np.ones(2), requires_grad=True)
+    for parents in ((param,), (const, param), (const, const, param), (param, const)):
+        assert Tensor(np.ones(2), parents=parents).requires_grad
+    assert not Tensor(np.ones(2), parents=(const, const)).requires_grad
+    assert not Tensor(np.ones(2)).requires_grad
+    assert Tensor(np.ones(2), requires_grad=True, parents=(const,)).requires_grad
+
 
 def test_backward_requires_scalar():
     with pytest.raises(DimensionError):

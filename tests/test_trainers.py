@@ -77,7 +77,8 @@ def test_config_validation():
     for name, bad in (("epochs", 0), ("batch_size", 1), ("proj_hidden", 0),
                       ("proj_dim", 0), ("seed", -1), ("feat_hidden", (8, 0)),
                       ("feat_hidden", ()), ("pretrain_steps", -1), ("warmup_epochs", -1),
-                      ("iters_per_epoch", -1), ("label_correction_epochs", -1)):
+                      ("iters_per_epoch", -1), ("label_correction_epochs", -1),
+                      ("label_correction_epochs", 0)):
         with pytest.raises(ParameterError, match=f"{name} = "):
             TrainConfig(**{name: bad})
     for threshold in (1.5, -0.1, float("nan")):
