@@ -4,8 +4,8 @@ Small by design: one node per fused op, each with a hand-derived backward,
 for exactly the MLP layers and losses used elsewhere in the package.
 Graphs are built eagerly; ``backward()`` runs a single reverse topological
 sweep. Gradients are allocated lazily and summed into fresh arrays, never
-written in place, so a buffer shared between two parents is safe and
-parameters shared between heads work out of the box. ``SGD`` updates each
+written in place: a node may be handed a backward seed, or in the tests'
+reference nodes a buffer shared with another parent. ``SGD`` updates each
 parameter in place through its velocity and one scratch array of its shape,
 so no step makes parameter-sized temporaries for the kernel to fault in anew.
 """
@@ -56,19 +56,17 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def backward(self):
+    def backward(self, seed: float = 1.0):
+        """Add the gradient of ``seed * self`` to every node that requires
+        one, on top of what earlier passes left in the leaves' ``grad``."""
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
         order = []
         _post_order(self, set(), order)
-        self.grad = np.ones(self.data.shape)
+        self.grad = np.full(self.data.shape, seed, dtype=np.float64)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
 
 
 def _post_order(node: Tensor, seen: set, order: list):
@@ -107,12 +105,11 @@ def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(e, e.sum(axis=1, keepdims=True), out=out)
 
 
-def _linear(h: np.ndarray, w: np.ndarray, b: np.ndarray | None, relu: bool) -> np.ndarray:
+def _linear(h: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
     """``h @ w``, plus ``b`` on every row, then ReLU if ``relu``: the forward
     arithmetic of one layer, with and without a graph."""
     out = h @ w
-    if b is not None:
-        out += b
+    out += b
     if relu:
         np.maximum(out, 0.0, out=out)
     return out
@@ -123,41 +120,15 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     return p * (dp - (dp * p).sum(axis=1, keepdims=True))
 
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
-
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return Tensor(a.data + b.data, parents=(a, b), backward=backward)
-
-
-def scale(a, c: float) -> Tensor:
-    a = _wrap(a)
-    c = float(c)
-
-    def backward(g):
-        _accumulate(a, g * c)
-
-    return Tensor(a.data * c, parents=(a,), backward=backward)
-
-
-def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
+def matmul(a, b, bias, relu: bool = False) -> Tensor:
     """``a @ b``, plus the 1-D ``bias`` on every row, then ReLU if ``relu``:
     one linear layer as one node."""
-    a, b = _wrap(a), _wrap(b)
+    a, b, bias = _wrap(a), _wrap(b), _wrap(bias)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    parents = (a, b)
-    if bias is not None:
-        bias = _wrap(bias)
-        if bias.data.shape != (b.data.shape[1],):
-            raise DimensionError(f"matmul: bias {bias.shape} for {b.data.shape[1]} outputs")
-        parents = (a, b, bias)
-    out_data = _linear(a.data, b.data, None if bias is None else bias.data, relu)
+    if bias.data.shape != (b.data.shape[1],):
+        raise DimensionError(f"matmul: bias {bias.shape} for {b.data.shape[1]} outputs")
+    out_data = _linear(a.data, b.data, bias.data, relu)
 
     def backward(g):
         if relu:
@@ -166,10 +137,9 @@ def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
             _accumulate(a, g @ b.data.T)
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
+        _accumulate(bias, g.sum(axis=0))
 
-    return Tensor(out_data, parents=parents, backward=backward)
+    return Tensor(out_data, parents=(a, b, bias), backward=backward)
 
 
 def _cross_entropy(name: str, logits: np.ndarray, targets: np.ndarray):

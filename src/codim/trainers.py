@@ -131,13 +131,19 @@ def _draw(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
     return rng.choice(pool, size=min(size, len(pool)), replace=False)
 
 
-def _step(opt: SGD, loss: Tensor) -> float:
-    """One SGD step on ``loss``; returns its value. A non-finite loss raises
-    before any gradient is computed or parameter moved."""
+def _step(opt: SGD, loss: Tensor, terms=()) -> float:
+    """One SGD step on ``loss`` plus each ``(weight, term)``; returns the sum.
+    A non-finite sum raises before any gradient is computed. Each term seeds
+    its own backward pass with its weight, last term first and ``loss`` last:
+    the order in which one graph of the sum adds gradients into the trunk."""
     value = loss.item()
+    for weight, term in terms:
+        value += term.item() * weight
     if not np.isfinite(value):
         raise DegenerateInputError(f"training loss is {value}")
     opt.zero_grad()
+    for weight, term in reversed(terms):
+        term.backward(weight)
     loss.backward()
     opt.step()
     return value
@@ -224,7 +230,7 @@ def _mixmatch_step(net: ModelTriple, guessers: tuple[ModelTriple, ...], opt: SGD
     """One semi-supervised SGD step on ``net``: ``guessers`` co-guess the
     unlabeled rows' labels, both sides are strong-augmented and MixUp-ed
     (labeled rows with their ``targets``), and each weighted contrastive term
-    of ``mode`` is added in turn. Returns the values of Lx, Lu, Lreg and Lcl."""
+    of ``mode`` joins the step. Returns the values of Lx, Lu, Lreg and Lcl."""
     if len(x_unl) > 0:
         guessed = guess_labels(guessers, x_unl, cfg.aug, cfg.ssl, rng)
         x_unl_s = augment(x_unl, cfg.aug, "strong", rng)
@@ -235,9 +241,7 @@ def _mixmatch_step(net: ModelTriple, guessers: tuple[ModelTriple, ...], opt: SGD
     lx, lu, lreg, total = semi_loss(net, *mixed, cfg.ssl, float(epoch))
     # drawn after the mix, so the views follow it in the rng stream
     terms = _contrastive_terms(net, cfg, mode, x_lab, labels, x_unl, rng)
-    for weight, term in terms:
-        total = total + T.scale(term, weight)
-    _step(opt, total)
+    _step(opt, total, terms)
     return lx, lu, lreg, sum((t.item() for _, t in terms), 0.0)
 
 

@@ -29,6 +29,11 @@ def leaf(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+def mm(a: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """matmul as a bare product: the layer node with a zero bias."""
+    return T.matmul(a, b, np.zeros(b.shape[1]), relu=relu)
+
+
 def functional(out: Tensor) -> Tensor:
     """A fixed linear functional u^T out v of a 2-D output (the same u, v
     for every call with that shape); a scalar output is returned as is."""
@@ -37,7 +42,7 @@ def functional(out: Tensor) -> Tensor:
     r = rng_for(0xF0, *out.shape)
     u = Tensor(r.normal(size=(1, out.shape[0])))
     v = Tensor(r.normal(size=(out.shape[1], 1)))
-    return T.matmul(T.matmul(u, out), v)
+    return mm(mm(u, out), v)
 
 
 def np_softmax(x):
@@ -47,26 +52,17 @@ def np_softmax(x):
 
 # ---------------------------------------------------------------- values
 
-def test_add_and_scale_values():
-    """add, and scale (multiplication by a constant)."""
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[10.0, 20.0], [30.0, 40.0]])
-    assert np.array_equal(T.add(a, b).data, [[11.0, 22.0], [33.0, 44.0]])
-    assert np.array_equal((a + b).data, [[11.0, 22.0], [33.0, 44.0]])
-    assert np.array_equal(T.scale(a, -2.0).data, [[-2.0, -4.0], [-6.0, -8.0]])
-
-
 def test_matmul_transpose_values():
     """matmul's value, and its gradients g b^T and a^T g, on a hand example."""
     a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
     b = Tensor([[5.0], [6.0]], requires_grad=True)
-    out = T.matmul(a, b)
+    out = mm(a, b)
     assert np.array_equal(out.data, [[17.0], [39.0]])
-    T.matmul(Tensor([[1.0, 2.0]]), out).backward()  # g = [[1], [2]]
+    mm(Tensor([[1.0, 2.0]]), out).backward()  # g = [[1], [2]]
     assert np.array_equal(a.grad, [[5.0, 6.0], [10.0, 12.0]])
     assert np.array_equal(b.grad, [[7.0], [10.0]])
     with pytest.raises(DimensionError):
-        T.matmul(a, Tensor(np.ones((3, 1))))
+        mm(a, Tensor(np.ones((3, 1))))
     with pytest.raises(DimensionError):
         T.matmul(a, b, bias=Tensor(np.ones(2)))
 
@@ -290,28 +286,28 @@ def test_backward_requires_scalar():
 
 def test_gradient_accumulates_across_shared_use():
     a = leaf(rng_for(4), 3, 3)
-    loss = T.matmul(T.matmul(Tensor(np.ones((1, 3))), a + a), Tensor(np.ones((3, 1))))
+    loss = mm(mm(Tensor(np.ones((1, 3))), add(a, a)), Tensor(np.ones((3, 1))))
     loss.backward()  # a used twice
     assert np.array_equal(a.grad, 2.0 * np.ones((3, 3)))
 
 
 def test_shared_gradient_buffers_are_never_written():
-    """``x + y`` hands one gradient array to both parents; reusing ``y``
-    downstream and ``x + x`` must still sum correctly, and an SGD step must
-    leave every gradient array as backward left it."""
+    """The reference ``add(x, y)`` hands one gradient array to both parents;
+    reusing ``y`` downstream and ``add(x, x)`` must still sum correctly, and
+    an SGD step must leave every gradient array as backward left it."""
     r = rng_for(10)
     x, y, w = leaf(r, 3, 4), leaf(r, 3, 4), leaf(r, 4, 2)
 
     def build():
-        # backward runs ``x + y`` first, handing x and y one buffer, and only
-        # then adds y's own use and ``x + x`` to them
-        return (functional(T.matmul(x + x, w)) + functional(T.matmul(y, w))
-                + functional(T.matmul(x + y, w, relu=True)))
+        # backward runs ``add(x, y)`` first, handing x and y one buffer, and
+        # only then adds y's own use and ``add(x, x)`` to them
+        return add(add(functional(mm(add(x, x), w)), functional(mm(y, w))),
+                   functional(mm(add(x, y), w, relu=True)))
 
     check_gradients(build, [x, y, w])
     for p in (x, y, w):
         p.grad = None
-    functional(x + y).backward()
+    functional(add(x, y)).backward()
     assert x.grad is y.grad  # the shared buffer
     build().backward()  # on top of the shared buffer
     grads = [p.grad.copy() for p in (x, y, w)]
@@ -336,7 +332,7 @@ def test_backward_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
     try:
-        functional(T.matmul(Tensor(np.ones((4, 3))), w, relu=True)).backward()
+        functional(mm(Tensor(np.ones((4, 3))), w, relu=True)).backward()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -344,20 +340,18 @@ def test_backward_leaves_no_garbage_cycle():
 
 def test_matmul_bias_gradient_sums_the_rows():
     """matmul adds its 1-D bias to every row; the bias gradient sums the
-    rows back. A plain add of unequal shapes is an error."""
+    rows back."""
     a = leaf(rng_for(5), 4, 3)
     b = leaf(rng_for(6), 3)
     out = T.matmul(a, Tensor(np.eye(3)), bias=b)
-    T.matmul(T.matmul(Tensor(np.ones((1, 4))), out), Tensor(np.ones((3, 1)))).backward()
+    mm(mm(Tensor(np.ones((1, 4))), out), Tensor(np.ones((3, 1)))).backward()
     assert np.array_equal(b.grad, 4.0 * np.ones(3))
-    with pytest.raises(DimensionError):
-        T.add(a, b)
 
 
 def test_no_grad_for_constants():
     a = Tensor(np.ones((2, 2)))
     b = leaf(rng_for(7), 2, 2)
-    functional(T.matmul(a, b)).backward()
+    functional(mm(a, b)).backward()
     assert a.grad is None
     assert b.grad is not None
 
@@ -385,11 +379,7 @@ def _tied_rows(r):
 
 # name -> (loss builder given params and constants, maker of both)
 FD_CASES = {
-    "add": (lambda p, c: functional(T.add(p[0], p[1])),
-            lambda r: ([leaf(r, 3, 4), leaf(r, 3, 4)], None)),
-    "scale": (lambda p, c: functional(T.scale(p[0], -1.7)),
-              lambda r: ([leaf(r, 3, 3)], None)),
-    "matmul": (lambda p, c: functional(T.matmul(p[0], p[1])),
+    "matmul": (lambda p, c: functional(mm(p[0], p[1])),
                lambda r: ([leaf(r, 3, 4), leaf(r, 4, 2)], None)),
     # matmul's bias, broadcast over rows
     "add_broadcast": (lambda p, c: functional(T.matmul(p[0], p[1], bias=p[2])),
@@ -397,13 +387,13 @@ FD_CASES = {
     # matmul with bias and relu: one MLP layer
     "relu": (lambda p, c: functional(T.matmul(p[0], p[1], bias=p[2], relu=True)),
              lambda r: (_linear_params(r, 5, relu=True), None)),
-    "relu_no_bias": (lambda p, c: functional(T.matmul(p[0], p[1], relu=True)),
+    "relu_no_bias": (lambda p, c: functional(mm(p[0], p[1], relu=True)),
                      lambda r: (_linear_params(r, 5, relu=True, bias=False), None)),
     "softmax_ce": (lambda p, c: T.softmax_cross_entropy(p[0], c),
                    lambda r: ([leaf(r, 4, 3)], _targets(r, 4, 3))),
     # softmax_cross_entropy on logits near 1000: the stabilized log-sum-exp
     "logsumexp": (lambda p, c: T.softmax_cross_entropy(
-                      T.add(p[0], Tensor(np.full((4, 3), 1000.0))), c),
+                      add(p[0], Tensor(np.full((4, 3), 1000.0))), c),
                   lambda r: ([leaf(r, 4, 3)], _targets(r, 4, 3))),
     # mixmatch_loss with unlabeled rows between the labeled ones: the exp of
     # the softmax, through the squared error and the mean prediction
@@ -452,6 +442,23 @@ def _accumulate(t, g):
     t.grad = g if t.grad is None else t.grad + g
 
 
+def add(a, b):
+    """Elementwise sum as its own node, one gradient array for both parents."""
+    def backward(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
+
+    return Tensor(a.data + b.data, parents=(a, b), backward=backward)
+
+
+def scale(a, c):
+    """Multiplication by a constant as its own node."""
+    def backward(g):
+        _accumulate(a, g * c)
+
+    return Tensor(a.data * c, parents=(a,), backward=backward)
+
+
 def _softmax_backward(p, dp):
     return p * (dp - (dp * p).sum(axis=1, keepdims=True))
 
@@ -498,7 +505,7 @@ def per_term_mixmatch_loss(logits, targets, is_labeled, lambda_u, lambda_r):
     lu = (_softmax_mse(_gather_rows(logits, unl_idx), targets[unl_idx])
           if len(unl_idx) else Tensor(0.0))
     lreg = _uniform_kl(logits)
-    return lx, lu, lreg, lx + T.scale(lu, lambda_u) + T.scale(lreg, lambda_r)
+    return lx, lu, lreg, add(add(lx, scale(lu, lambda_u)), scale(lreg, lambda_r))
 
 
 @pytest.mark.parametrize("case", ["random", "lambda_u_zero", "no_unlabeled", "one_labeled"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from codim import tensor as T
 from codim import trainers
 from codim.contrastive import make_view_batch, self_con_loss, sup_con_loss
 from codim.data import BlobSpec, gen_blobs
@@ -14,9 +15,11 @@ from codim.trainers import (RUN_RECORD_HEADER, CodimTrainer, TrainConfig,
                             train_ce, train_codim, train_cssl, warmup)
 from codim.metrics import consistency_metric
 from codim.metrics import test_accuracy as accuracy_of
+from codim.mixmatch import one_hot
 from codim.models import DuoModel
 
 from conftest import rng_for
+from test_tensor import add, scale
 
 
 def small_dataset(seed=0, noisy=True):
@@ -474,6 +477,57 @@ def test_label_correction_relabels_the_trainer_dataset():
     want = label_correction(ds, trainer.base, cfg).noisy_labels
     assert np.array_equal(trainer.dataset.noisy_labels, want)
     assert np.array_equal(trainer.dataset.clean_labels, ds.clean_labels)
+
+
+def _step_inputs(mode, x_unl_nan=False):
+    """A fresh network with its optimizer, a cross-entropy loss through the
+    shared trunk and ``mode``'s weighted contrastive terms, drawn the same
+    way on every call."""
+    ds = small_dataset()
+    cfg = small_config(mode=mode, lambda_sup=0.7, lambda_self=1.3)
+    net = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=3)
+    x_lab, labels, x_unl = ds.x[:12], ds.noisy_labels[:12], ds.x[12:28].copy()
+    if x_unl_nan:
+        x_unl[5] = np.nan
+    loss = T.softmax_cross_entropy(net.forward_logits(x_lab), one_hot(labels, ds.num_classes))
+    terms = _contrastive_terms(net, cfg, mode, x_lab, labels, x_unl, rng_for(0x57))
+    return net, cfg.sgd(net.params()), loss, terms
+
+
+@pytest.mark.parametrize("mode", ["bare", "sup", "cssl"], ids=["1", "2", "3"])
+def test_step_with_terms_is_the_summed_graph(mode):
+    """_step over 1, 2 or 3 loss terms, each term seeding its own backward
+    pass, gives the value, gradients and updated parameters of one backward
+    pass over the graph ``loss + scale(t1, w1) + scale(t2, w2)`` byte for
+    byte, zero signs too; 3 is cssl's SupCon then SelfCon."""
+    net, opt, loss, terms = _step_inputs(mode)
+    assert len(terms) == {"bare": 0, "sup": 1, "cssl": 2}[mode]
+    got = trainers._step(opt, loss, terms)
+    ref_net, ref_opt, total, ref_terms = _step_inputs(mode)
+    for weight, term in ref_terms:
+        total = add(total, scale(term, weight))
+    want = trainers._step(ref_opt, total)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    for (name, p), q in zip(net.params().items(), ref_net.params().values()):
+        assert p.data.tobytes() == q.data.tobytes(), name
+        if p.grad is None or q.grad is None:  # the projector, with no term
+            assert p.grad is q.grad and name.startswith("proj"), name
+            continue
+        assert p.grad.tobytes() == q.grad.tobytes(), name
+        assert np.array_equal(np.signbit(p.grad), np.signbit(q.grad)), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_with_a_non_finite_term_moves_nothing():
+    """A NaN term raises before any backward pass or parameter update."""
+    net, opt, loss, terms = _step_inputs("cssl", x_unl_nan=True)
+    assert np.isfinite(loss.item()) and np.isnan(terms[-1][1].item())
+    before = {k: v.copy() for k, v in net.state_dict().items()}
+    with pytest.raises(DegenerateInputError, match="training loss is nan"):
+        trainers._step(opt, loss, terms)
+    after = net.state_dict()
+    assert all(after[k].tobytes() == v.tobytes() for k, v in before.items())
+    assert all(p.grad is None for p in net.params().values())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
