@@ -150,7 +150,7 @@ def main(argv=None) -> int:
               f"{end.ru_minflt - usage.ru_minflt} minor page faults")
         if args.out_dir:
             out = os.path.join(args.out_dir, f"{name}.csv")
-            write_csv(out, list(rows[0]), [list(row.values()) for row in rows])
+            write_csv(out, list(rows[0]), *zip(*(row.values() for row in rows)))
             print(f"wrote {out}")
     return 0
 

@@ -74,16 +74,12 @@ def _load_run(args, **overrides):
 def cmd_gen(args) -> int:
     values, ds, _ = _load_run(args)
     out_dir = _prepare_run_dir(values)
-    header = (["index"] + [f"x{i}" for i in range(ds.dim)]
-              + ["clean_label", "noisy_label", "flip"])
-    flip = ds.flip_mask
-    write_csv(os.path.join(out_dir, "train.csv"), header,
-              ([i, *ds.x[i].tolist(), ds.clean_labels[i],
-                ds.noisy_labels[i], int(flip[i])] for i in range(ds.n)))
-    write_csv(os.path.join(out_dir, "test.csv"),
-              ["index"] + [f"x{i}" for i in range(ds.dim)] + ["label"],
-              ([i, *ds.test_x[i].tolist(), ds.test_labels[i]]
-               for i in range(len(ds.test_labels))))
+    xs = [f"x{i}" for i in range(ds.dim)]
+    write_csv(os.path.join(out_dir, "train.csv"),
+              ["index", *xs, "clean_label", "noisy_label", "flip"], range(ds.n),
+              *ds.x.T, ds.clean_labels, ds.noisy_labels, ds.flip_mask.astype(int))
+    write_csv(os.path.join(out_dir, "test.csv"), ["index", *xs, "label"],
+              range(len(ds.test_labels)), *ds.test_x.T, ds.test_labels)
     print(f"wrote {ds.n} train / {len(ds.test_labels)} test samples to {out_dir}")
     return 0
 
@@ -95,7 +91,7 @@ def cmd_pretrain(args) -> int:
     losses = pretrain_selfcon(ds, model, cfg)
     save_checkpoint(os.path.join(out_dir, "pretrain.ckpt"), model.state_dict())
     write_csv(os.path.join(out_dir, "pretrain_loss.csv"), ["step", "loss"],
-              ([i, repr(v)] for i, v in enumerate(losses)))
+              range(len(losses)), losses)
     final = losses[-1] if losses else float("nan")
     print(f"pre-trained {cfg.pretrain_steps} steps, final loss {final:.4f}; "
           f"checkpoint in {out_dir}")
@@ -179,10 +175,8 @@ def cmd_partition(args) -> int:
         raise ConfigError(f"{args.losses_csv} needs one or more losses, all finite")
     part = partition_losses(losses, args.threshold)
     out = args.out or (os.path.splitext(args.losses_csv)[0] + "_partition.csv")
-    is_clean = np.zeros(len(losses), dtype=np.int8)
-    is_clean[part.clean_idx] = 1
-    write_csv(out, ["index", "clean_prob", "is_clean"],
-              zip(range(len(losses)), part.clean_prob.tolist(), is_clean.tolist()))
+    write_csv(out, ["index", "clean_prob", "is_clean"], range(len(losses)),
+              part.clean_prob, (part.clean_prob >= part.threshold).astype(int))
     g = part.gmm
     fit = ("" if g is None else f"components: means={g.means.round(4).tolist()} "
            f"weights={g.weights.round(4).tolist()}; ")
@@ -216,13 +210,11 @@ def cmd_report(args) -> int:
         if epochs[i] <= epochs[i - 1]:
             raise ConfigError(f"{metrics_path} data row {i + 1}: epoch {epochs[i]:g} "
                               f"does not follow epoch {epochs[i - 1]:g}")
-    export_curves_svg({k: cols[k] for k in ("loss_x", "loss_u", "loss_reg", "loss_cl")},
-                      os.path.join(args.run_dir, "losses.svg"))
-    export_curves_svg({k: cols[k] for k in ("test_acc_a", "test_acc_b", "test_acc_ens")},
-                      os.path.join(args.run_dir, "accuracy.svg"))
-    export_curves_svg({"partition_auc": cols["partition_auc"],
-                       "consistency": cols["consistency"]},
-                      os.path.join(args.run_dir, "diagnostics.svg"))
+    for name, keys in (("losses", ("loss_x", "loss_u", "loss_reg", "loss_cl")),
+                       ("accuracy", ("test_acc_a", "test_acc_b", "test_acc_ens")),
+                       ("diagnostics", ("partition_auc", "consistency"))):
+        export_curves_svg({k: cols[k] for k in keys},
+                          os.path.join(args.run_dir, f"{name}.svg"))
     best = max(cols["test_acc_ens"])
     last = cols["test_acc_ens"][-1]
     print(f"{len(rows)} epochs  Best: {100 * best:.2f}  Last: {100 * last:.2f}  "

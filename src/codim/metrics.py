@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,10 +156,13 @@ def _write_svg(path, width: int, height: int, body: list[str]):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_csv(path, header: list[str], rows):
-    """RFC-4180 CSV with a fixed header row; ``rows`` is any iterable of rows,
-    consumed once, so a generator or ``zip`` writes without a list of rows."""
+def write_csv(path, header: list[str], *columns):
+    """The ``header`` row, then one CRLF-ended row per position of the numeric
+    ``columns``, each cell as ``"{}"`` writes it: ``str`` of an int, ``repr`` of
+    a float, as ``csv.writer`` does. Arrays are read by ``tolist()``, so pass
+    bools as ints; columns of unequal length raise ``ValueError``."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    row = ",".join(["{}"] * len(columns)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row.format(*cells) for cells in zip(*columns, strict=True))

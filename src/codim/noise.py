@@ -118,6 +118,13 @@ def _densities(values, weights, means, variances, dens=None, totals=None):
     return dens, totals
 
 
+def _median(values: np.ndarray):
+    """``np.median`` of finite values, less the NaN check that imports numpy.ma."""
+    n = len(values)
+    part = np.partition(values, [(n - 1) // 2, n // 2])
+    return part[n // 2] if n % 2 else (part[n // 2 - 1] + part[n // 2]) / 2
+
+
 def fit_gmm_1d(values: np.ndarray) -> GmmParams:
     """Two-component EM on 1-D data.
 
@@ -135,7 +142,7 @@ def fit_gmm_1d(values: np.ndarray) -> GmmParams:
     if values.max() - values.min() < 1e-6:
         raise DegenerateInputError("fit_gmm_1d: values are (nearly) constant")
 
-    med = np.median(values)
+    med = _median(values)
     low, high = values[values <= med], values[values > med]
     if len(high) == 0:  # ties at the median
         order = np.argsort(values)

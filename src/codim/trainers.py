@@ -4,7 +4,7 @@ the frozen-encoder label-correction step."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -116,9 +116,7 @@ class RunRecord:
         return self.rows[-1].test_acc_ens
 
     def to_csv(self, path):
-        write_csv(path, RUN_RECORD_HEADER,
-                  ([r.epoch, *(repr(getattr(r, k)) for k in RUN_RECORD_HEADER[1:])]
-                   for r in self.rows))
+        write_csv(path, RUN_RECORD_HEADER, *zip(*map(astuple, self.rows)))
 
 
 def _rng(*entropy) -> np.random.Generator:

@@ -1,6 +1,7 @@
 """Evaluation metrics against brute-force oracles, plus SVG/CSV emission."""
 
 import csv
+import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -173,15 +174,60 @@ def test_export_curves_svg_valid(tmp_path):
         export_curves_svg({}, tmp_path / "empty.svg")
 
 
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The oracle: the bytes ``csv.writer`` writes for ``header`` and ``rows``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+_ODD_FLOATS = [0.1 + 0.2, 1e-05, 1e16, 5e-324, -0.0, float("inf"), float("nan"),
+               -1.5, 1.7976931348623157e308]
+
+
 def test_write_csv_round_trip(tmp_path):
+    """Int, 0/1 and float columns: the bytes ``csv.writer`` writes, CRLF
+    rows, and every float reads back as the same float."""
+    n = len(_ODD_FLOATS)
+    ints, flags = list(range(-3, n - 3)), [i % 2 for i in range(n)]
     path = tmp_path / "t.csv"
-    rows = [[0, "a,b", 1.5], [1, 'quote"d', -2.0]]
-    write_csv(path, ["i", "s", "v"], rows)
+    write_csv(path, ["i", "flag", "v"], ints, flags, _ODD_FLOATS)
+    got = path.read_bytes()
+    assert got == _csv_writer_bytes(["i", "flag", "v"], zip(ints, flags, _ODD_FLOATS))
+    assert got.count(b"\r\n") == n + 1
     with open(path, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got[0] == ["i", "s", "v"]
-    assert got[1] == ["0", "a,b", "1.5"]
-    assert got[2] == ["1", 'quote"d', "-2.0"]
+        rows = list(csv.reader(fh))[1:]
+    assert [int(r[0]) for r in rows] == ints and [int(r[1]) for r in rows] == flags
+    back = np.array([float(r[2]) for r in rows])
+    assert np.array_equal(back, _ODD_FLOATS, equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(_ODD_FLOATS))
+
+
+def test_write_csv_numpy_scalars_and_arrays_match_csv_writer(tmp_path):
+    """NumPy int and float scalars, and whole int and float64 arrays, are
+    written as the Python numbers they hold."""
+    floats = np.array(_ODD_FLOATS)
+    ints = np.arange(len(floats), dtype=np.int64) - 2
+    small = ints.astype(np.int8)
+    want = _csv_writer_bytes(["a", "b", "c"], zip(ints.tolist(), small.tolist(),
+                                                   floats.tolist()))
+    write_csv(tmp_path / "scalars.csv", ["a", "b", "c"], list(ints), list(small),
+              list(floats))
+    write_csv(tmp_path / "arrays.csv", ["a", "b", "c"], ints, small, floats)
+    assert (tmp_path / "scalars.csv").read_bytes() == want
+    assert (tmp_path / "arrays.csv").read_bytes() == want
+
+
+def test_write_csv_zero_rows_is_the_header_alone(tmp_path):
+    write_csv(tmp_path / "empty.csv", ["index", "loss"], [], np.array([]))
+    assert (tmp_path / "empty.csv").read_bytes() == b"index,loss\r\n"
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "ragged.csv", ["a", "b"], [1, 2, 3], [0.5, 1.5])
 
 
 def test_auc_ties_signed_zero_and_rejects_non_finite():

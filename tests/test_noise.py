@@ -1,5 +1,10 @@
 """Noise injection statistics and the 1-D two-component GMM fitter."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +13,9 @@ import pytest
 from codim.data import BlobSpec, gen_blobs
 from codim.errors import DegenerateInputError, ParameterError
 from codim.models import Arch, ModelTriple
-from codim.noise import (GmmParams, NoiseSpec, Partition, fit_gmm_1d, inject_noise,
-                         make_partition, partition_by_losses, partition_losses,
-                         per_sample_losses)
+from codim.noise import (GmmParams, NoiseSpec, Partition, _median, fit_gmm_1d,
+                         inject_noise, make_partition, partition_by_losses,
+                         partition_losses, per_sample_losses)
 
 from conftest import rng_for
 
@@ -256,6 +261,49 @@ def test_gmm_equals_reference_em_bit_for_bit():
                                "ll_history"), got, fit):
             assert np.array_equal(a, b), f"case {case}: {name} {a} != {b}"
         assert np.array_equal(make_partition(g, values, 0.5).clean_prob, posterior), case
+
+
+def test_median_equals_np_median_bit_for_bit():
+    """``np.median`` is the oracle: odd and even n, ties, sums of the middle
+    pair that overflow to inf, and subnormal scales."""
+    rng = rng_for(0x3D)
+    cases = [np.array([1e308, 1.5e308, -1e308, 1.7e308]),
+             np.array([-1.7e308, -1.6e308, 0.0]), np.array([-1.7e308, -1.6e308]),
+             np.array([2.0, 2.0, 1.0, 2.0]), np.array([-0.0, 0.0]), np.array([3.0])]
+    for n in range(1, 41):
+        cases += [rng.normal(size=n), rng.integers(0, 3, n).astype(float),
+                  rng.choice([-1.7e308, -1e308, 0.0, 1e308, 1.7e308], n),
+                  rng.normal(size=n) * 1e-300]
+    with np.errstate(over="ignore"):
+        for values in cases:
+            got, want = _median(values), np.median(values)
+            assert type(got) is type(want), values
+            assert got == want or (np.isnan(got) and np.isnan(want)), values
+            assert np.signbit(got) == np.signbit(want), values
+
+
+def test_fit_and_partition_leave_numpy_ma_unimported(tmp_path):
+    """``np.median``'s NaN check imports numpy.ma on first use, a cost paid
+    in every process; a co-divide run and ``codim partition`` do without it."""
+    code = textwrap.dedent(r"""
+        import sys
+        import numpy as np
+        from codim import cli
+        from codim.config import make_dataset, make_train_config, parse_config_text
+        from codim.trainers import CodimTrainer
+        values = parse_config_text("samples_per_class = 10\nepochs = 2\nwarmup_epochs = 1\n")
+        CodimTrainer(make_dataset(values), make_train_config(values)).run()
+        losses = np.random.default_rng(0).gamma(2.0, size=50).tolist()
+        with open("losses.csv", "w") as fh:
+            fh.write("".join(f"{v!r}\n" for v in losses))
+        assert cli.main(["partition", "losses.csv"]) == 0
+        print("numpy.ma" in sys.modules)
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_gmm_degenerate_inputs():
