@@ -45,7 +45,7 @@ from codim.config import make_dataset, make_train_config, parse_config_text
 from codim.metrics import write_csv
 from codim.models import ModelTriple
 from codim.trainers import (CodimTrainer, label_correction, pretrain_selfcon,
-                            train_ce, train_cssl)
+                            train_ce, train_codim, train_cssl)
 
 # Augmentation that never masks a coordinate: zeroing one of two coordinates
 # destroys class information and makes the contrastive terms harmful.
@@ -71,7 +71,7 @@ def memorizing(seed: int) -> dict:
     noisy, cfg = make_dataset(values), make_train_config(values)
     return dict(clean_ce=train_ce(clean, cfg)[1].best_acc,
                 ce=train_ce(noisy, cfg)[1].best_acc,
-                codim=CodimTrainer(noisy, cfg).run()[1].best_acc)
+                codim=train_codim(noisy, cfg)[1].best_acc)
 
 
 def blobs_2d(seed: int) -> dict:

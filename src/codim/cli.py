@@ -12,8 +12,8 @@ import argparse
 import csv
 import hashlib
 import itertools
-import operator
 import os
+import re
 import sys
 
 import numpy as np
@@ -137,34 +137,55 @@ def cmd_cssl(args) -> int:
 
 
 def _csv_rows(path, what: str):
-    """Stream the non-blank rows of a CSV input; a missing or non-text file is
-    a ConfigError (exit 2)."""
+    """Stream ``(line, row)`` for each non-blank row of a CSV input, where
+    ``line`` is the file line on which the row ends. The file is UTF-8 with an
+    optional byte-order mark; a missing or non-text file is a ConfigError
+    (exit 2)."""
     if not os.path.exists(path):
         raise ConfigError(f"{what} not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield from filter(None, csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{path} is not a CSV text file: {exc}") from exc
 
 
+# how np.loadtxt names a cell it cannot convert; its row counts non-blank rows
+# from 0, after the skipped lines
+_LOADTXT_BAD_CELL = re.compile(r"(.*) at row (\d+), column \d+\.", re.DOTALL)
+
+
 def _read_losses(path) -> np.ndarray:
-    """The last cell of every non-blank row as float64, streamed into the
-    array without holding the rows; a first row whose last cell is not a
-    number is a header. A cell that is not a number is a ConfigError."""
-    rows = _csv_rows(path, "losses file")
-    first = next(rows, [])
+    """The last cell of every non-blank row as float64, parsed by NumPy's C
+    reader with no Python object per row. The first row is a header when
+    Python's ``float`` rejects its last cell; a file with no loss gives an
+    empty array. A cell that NumPy does not read as a number (``#0.7``,
+    ``1_000``, an empty cell) is a ConfigError that names its line."""
+    head = list(itertools.islice(_csv_rows(path, "losses file"), 2))
     try:
-        head = [float(first[-1])]
-    except (IndexError, ValueError):
-        head = []  # a header row, or no rows
+        float(head[0][1][-1])
+        skip = 0
+    except (IndexError, ValueError):  # a header row, or no rows
+        skip = head[0][0] if head else 0
+        head = head[1:]
+    if not head:
+        return np.empty(0)
     try:
-        return np.fromiter(
-            itertools.chain(head, map(float, map(operator.itemgetter(-1), rows))),
-            dtype=np.float64)
-    except ConfigError:
-        raise  # the file is not CSV text
+        return np.loadtxt(path, delimiter=",", usecols=-1, quotechar='"', comments=None,
+                          ndmin=1, skiprows=skip, encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not a CSV text file: {exc}") from exc
     except ValueError as exc:
+        bad = _LOADTXT_BAD_CELL.fullmatch(str(exc))
+        if bad is not None:
+            lines = (line for line, _ in _csv_rows(path, "losses file") if line > skip)
+            line = next(itertools.islice(lines, int(bad[2]), None), None)
+            if line is not None:
+                raise ConfigError(f"bad loss value in {path} on line {line}: "
+                                  f"{bad[1]}") from exc
         raise ConfigError(f"bad loss value in {path}: {exc}") from exc
 
 
@@ -187,7 +208,7 @@ def cmd_partition(args) -> int:
 
 def cmd_report(args) -> int:
     metrics_path = os.path.join(args.run_dir, "metrics.csv")
-    rows = list(_csv_rows(metrics_path, "metrics.csv"))
+    rows = [row for _, row in _csv_rows(metrics_path, "metrics.csv")]
     if not rows or rows[0] != RUN_RECORD_HEADER:
         raise ConfigError(f"unexpected metrics header in {metrics_path}")
     try:

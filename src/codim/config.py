@@ -102,7 +102,7 @@ def load_config(path) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc

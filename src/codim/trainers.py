@@ -302,7 +302,6 @@ class CodimTrainer:
             self.dataset = label_correction(self.dataset, self.base, cfg)
         # SGD skips a parameter with no gradient, so bare mode's projector stays put
         self.opts = [cfg.sgd(net.params()) for net in self.duo.nets]
-        self.post_warmup_consistency = _consistency(self.duo.net_a, self.dataset, cfg, 0xFFFF)
 
     def epoch(self, epoch: int) -> EpochMetrics:
         cfg, data, nets = self.cfg, self.dataset, self.duo.nets
@@ -336,18 +335,26 @@ class CodimTrainer:
         return _run_epoch(nets, self.opts, data, cfg, epoch, step, auc)
 
     def run(self) -> tuple[DuoModel, RunRecord]:
+        """``prepare`` and every epoch, with the first net's consistency over
+        all training rows measured right after ``prepare`` and after the last
+        epoch: criterion 6's pair. Both use the same perturbation draws, so
+        the warmup-vs-trained comparison is not washed out by estimator
+        variance."""
         self.prepare()
+        self.post_warmup_consistency = _consistency(self.duo.net_a, self.dataset, self.cfg,
+                                                    0xFFFF)
         record = RunRecord([self.epoch(epoch) for epoch in range(self.cfg.epochs)])
-        # paired with post_warmup_consistency: same perturbation draws,
-        # so the warmup-vs-trained comparison is not washed out by
-        # estimator variance
         self.final_consistency = _consistency(self.duo.net_a, self.dataset, self.cfg, 0xFFFF)
         return self.duo, record
 
 
 def train_codim(dataset: Dataset, cfg: TrainConfig,
                 pretrained_state: dict | None = None) -> tuple[DuoModel, RunRecord]:
-    return CodimTrainer(dataset, cfg, pretrained_state=pretrained_state).run()
+    """``CodimTrainer.run`` without its consistency pair, which the returned
+    duo and record do not hold: the same weights and rows, bit for bit."""
+    trainer = CodimTrainer(dataset, cfg, pretrained_state=pretrained_state)
+    trainer.prepare()
+    return trainer.duo, RunRecord([trainer.epoch(epoch) for epoch in range(cfg.epochs)])
 
 
 def train_ce(dataset: Dataset, cfg: TrainConfig) -> tuple[ModelTriple, RunRecord]:

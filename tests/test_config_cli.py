@@ -1,22 +1,27 @@
 """Config parsing and the CLI subcommands, including exit codes and
 run-directory artifacts."""
 
+import codecs
 import csv
 import hashlib
 import io
+import itertools
 import os
 import pathlib
 import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codim.checkpoint import MAGIC
-from codim.cli import main
+from codim.cli import _read_losses, main
 from codim.config import (SCHEMA, load_config, make_dataset, make_train_config,
                           parse_config_text, resolved_config_text)
 from codim.contrastive import AugmentSpec
@@ -354,11 +359,17 @@ def test_cli_partition_non_finite_loss_exits_2(tmp_path, capsys, bad):
     assert not (tmp_path / "losses_partition.csv").exists()
 
 
-@pytest.mark.parametrize("cell, named", [(b"abc", "bad loss value"), (b"", "bad loss value"),
-                                         (b"inf", "finite"), (b"\xff", "not a CSV text file")],
-                         ids=["word", "empty", "inf", "not-utf8"])
+@pytest.mark.parametrize("cell, named", [
+    (b"abc", "on line 61: could not convert string 'abc'"),
+    (b"", "on line 61: could not convert string ''"),
+    (b"#0.7", "on line 61: could not convert string '#0.7'"),
+    (b"1_000", "on line 61: could not convert string '1_000'"),
+    (b"inf", "finite"), (b"\xff", "not a CSV text file")],
+    ids=["word", "empty", "comment-mark", "underscore", "inf", "not-utf8"])
 def test_cli_partition_bad_last_row_exits_2_and_writes_nothing(tmp_path, capsys, cell,
                                                                named):
+    """``#`` starts no comment, and ``1_000``, which Python's ``float`` reads,
+    is not a number to NumPy's reader: both are bad cells."""
     path = tmp_path / "losses.csv"
     path.write_bytes(b"".join(b"%d,%r\n" % (i, 0.1 if i % 3 else 0.9) for i in range(60))
                      + b"60," + cell + b"\n")
@@ -431,6 +442,136 @@ def test_cli_partition_memory_is_a_few_floats_per_row(tmp_path, capsys):
         tracemalloc.stop()
     assert f"/{n} clean" in capsys.readouterr().out
     assert peak / n < 160, f"{peak / n:.0f} bytes per row"
+
+
+def _csv_reader_losses(path):
+    """The losses as `codim partition` read them with ``csv.reader`` and
+    ``np.fromiter``, before NumPy's reader: the oracle. None where that
+    reader raised."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = filter(None, csv.reader(fh))
+            first = next(rows, [])
+            try:
+                head = [float(first[-1])]
+            except (IndexError, ValueError):
+                head = []
+            return np.fromiter(itertools.chain(head, (float(row[-1]) for row in rows)),
+                               dtype=np.float64)
+    except (UnicodeDecodeError, csv.Error, ValueError):
+        return None
+
+
+def _csv_cell(text: str, quoted: bool) -> str:
+    if quoted or any(c in text for c in ',"'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(0, 1e6).map("{:.3e}".format),
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.sampled_from(["", " "]), st.floats(0, 1).map(repr),
+              st.sampled_from(["", " ", "\t"])).map("".join))
+_TEXT_CELLS = st.text(alphabet='ab1. ,"', max_size=6)
+_BAD_CELLS = st.sampled_from(["abc", "", "#0.7", "nan", "inf", " ", "1.5e", "0x10"])
+
+
+@st.composite
+def _losses_csv(draw) -> str:
+    """CSV text of loss rows: an optional header, ragged rows whose leading
+    cells may hold commas and quotes, quoted cells, blank rows, LF or CRLF
+    line ends, and at most one bad last cell."""
+    rows = [[*draw(st.lists(_TEXT_CELLS, max_size=3)), draw(_NUMBER_CELLS)]
+            for _ in range(draw(st.integers(0, 12)))]
+    bad = draw(st.none() | st.integers(0, 11))
+    if bad is not None and bad < len(rows):
+        rows[bad][-1] = draw(_BAD_CELLS)
+    if draw(st.booleans()):
+        rows.insert(0, [*draw(st.lists(_TEXT_CELLS, max_size=2)),
+                        draw(st.sampled_from(["loss", "loss, x", 'a "b"', "", "value"]))])
+    lines = [",".join(_csv_cell(c, draw(st.booleans())) for c in row) for row in rows]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_losses_csv())
+def test_partition_reader_equals_the_csv_reader(tmp_path_factory, text):
+    """NumPy's reader gives the old reader's floats bit for bit, or both
+    readers leave `codim partition` to exit 2: a bad cell, no loss or a
+    non-finite one."""
+    path = tmp_path_factory.mktemp("losses") / "losses.csv"
+    path.write_bytes(text.encode())
+    want = _csv_reader_losses(path)
+    try:
+        got = _read_losses(str(path))
+    except ConfigError:
+        got = None
+    if want is None or len(want) == 0 or not np.isfinite(want).all():
+        assert got is None or len(got) == 0 or not np.isfinite(got).all()
+    else:
+        assert got is not None and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+def test_cli_partition_bad_cell_names_its_file_line(tmp_path, capsys):
+    """NumPy counts the rows after the header; the message counts the file's
+    lines, with blank lines, CRLF ends and a quoted header cell that spans
+    two lines."""
+    path = tmp_path / "losses.csv"
+    path.write_bytes(b'\r\n\r\n"index\r\nnumber",loss\r\n0,0.1\r\n\r\n1,0.2\r\n'
+                     b'\r\n2,0.3\r\n3,x0.4\r\n4,0.5\r\n')
+    assert main(["partition", str(path)]) == 2
+    assert "on line 10: could not convert string 'x0.4'" in capsys.readouterr().err
+    assert not (tmp_path / "losses_partition.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "index,loss\n", '\n"a,b",loss\r\n\r\n'],
+                         ids=["empty", "blank-lines", "header-only", "quoted-header-only"])
+def test_cli_partition_without_losses_exits_2_and_warns_nothing(tmp_path, capsys, text):
+    path = tmp_path / "losses.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["partition", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path} needs one or more losses, all finite\n"
+    assert not (tmp_path / "losses_partition.csv").exists()
+
+
+@pytest.mark.parametrize("header, row", [("", "{v!r}\n"), ("", "{i},{v!r}\n"),
+                                         ("index,loss\n", "{i},{v!r}\n")],
+                         ids=["one-column", "no-header", "header"])
+def test_cli_partition_reads_a_utf8_byte_order_mark(tmp_path, capsys, header, row):
+    """A leading byte-order mark is no part of the first cell, so a
+    headerless first loss is not mistaken for a header and dropped."""
+    text = header + "".join(row.format(i=i, v=v) for i, v in enumerate(_MIXTURE[:12]))
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert main(["partition", str(plain)]) == 0
+    assert main(["partition", str(bom)]) == 0
+    assert "/12 clean" in capsys.readouterr().out.splitlines()[-1]
+    rows = (tmp_path / "bom_partition.csv").read_bytes()
+    assert rows == (tmp_path / "plain_partition.csv").read_bytes()
+    assert rows.splitlines()[1].startswith(b"0,")
+
+
+def test_config_and_metrics_read_a_utf8_byte_order_mark(tmp_path, capsys):
+    cfg, out_dir = write_config(tmp_path)
+    text = pathlib.Path(cfg).read_bytes()
+    pathlib.Path(cfg).write_bytes(codecs.BOM_UTF8 + text)
+    assert load_config(cfg) == parse_config_text(text.decode())
+    assert main(["gen", cfg]) == 0
+    metrics = _metrics_text([0, 1, 1, 1, 1, 0.5, 0.5, 0.5, 0.9, 0.1],
+                            [1, 1, 1, 1, 1, 0.5, 0.5, 0.6, 0.9, 0.1])
+    (tmp_path / "metrics.csv").write_bytes(codecs.BOM_UTF8 + metrics.encode())
+    capsys.readouterr()
+    assert main(["report", str(tmp_path)]) == 0
+    assert "2 epochs  Best: 60.00" in capsys.readouterr().out
 
 
 def test_cli_csv_cells_are_plain_numbers(tmp_path):

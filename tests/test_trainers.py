@@ -287,6 +287,30 @@ def test_post_warmup_and_final_consistency_see_every_row(monkeypatch):
     assert shapes == [whole] + [subset] * cfg.epochs + [whole]
 
 
+def test_train_codim_skips_the_whole_set_consistency_pair(monkeypatch):
+    """``train_codim`` returns no consistency pair, so it measures none: only
+    the per-epoch subsets go through the metric, and its weights and record
+    are those of ``CodimTrainer.run``, byte for byte."""
+    ds, cfg = wide_dataset(), small_config()
+    trainer = CodimTrainer(ds, cfg)
+    run_duo, run_record = trainer.run()
+    assert trainer.post_warmup_consistency is not None
+    shapes, real = [], trainers.consistency_metric
+
+    def metric(m, x, *args, **kwargs):
+        shapes.append(x.shape)
+        return real(m, x, *args, **kwargs)
+
+    monkeypatch.setattr(trainers, "consistency_metric", metric)
+    duo, record = train_codim(ds, cfg)
+    assert shapes == [(trainers.CONSISTENCY_ROWS, ds.dim)] * cfg.epochs
+    assert [repr(vars(r)) for r in record.rows] == [repr(vars(r)) for r in run_record.rows]
+    for net, run_net in zip(duo.nets, run_duo.nets, strict=True):
+        got, want = net.state_dict(), run_net.state_dict()
+        assert got.keys() == want.keys()
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
 def _trained(model, record):
     """State dicts and every column but ``consistency`` of one training run."""
     nets = model.nets if isinstance(model, DuoModel) else (model,)
