@@ -38,7 +38,7 @@ def _build_id() -> str:
                              cwd=os.path.dirname(os.path.abspath(__file__)))
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or a hung one
         pass
     return f"codim-{__version__}"
 
@@ -53,8 +53,9 @@ def _prepare_run_dir(values: dict) -> str:
     with open(os.path.join(out_dir, "config_resolved.txt"), "w") as fh:
         fh.write(snapshot)
     digest = hashlib.sha256(snapshot.encode()).hexdigest()
+    build = _build_id()
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write(f"build = {_build_id()}\n")
+        fh.write(f"build = {build}\n")
         fh.write(f"config_sha256 = {digest}\n")
         fh.write(f"seed = {values['seed']}\n")
         fh.write(f"data_seed = {values['data_seed']}\n")

@@ -26,6 +26,12 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("expected a path, got ''")
+    return text
+
+
 def _choice(*options):
     def parse(text: str) -> str:
         if text not in options:
@@ -70,7 +76,7 @@ SCHEMA: dict[str, tuple] = {
             mode={"mode": (_choice(*MODES, *MODE_ALIASES), TrainConfig.mode)},
             feat_hidden={"feat_hidden": (str, ",".join(map(str, TrainConfig.feat_hidden)))}),
     # run
-    "out_dir": (str, "runs/default"),
+    "out_dir": (_path, "runs/default"),
 }
 
 

@@ -19,10 +19,6 @@ class DimensionError(CodimError):
     """Operand shapes are incompatible."""
 
 
-class ContractError(CodimError):
-    """An input violates a documented precondition (e.g. unnormalized target rows)."""
-
-
 class DegenerateInputError(CodimError):
     """Input is numerically degenerate (zero-norm rows, constant loss arrays, K<2 batches)."""
 

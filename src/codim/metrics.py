@@ -1,15 +1,15 @@
-"""Evaluation: accuracy, partition quality, augmentation-consistency metric,
+"""Evaluation: accuracy, partition AUC, augmentation-consistency metric,
 2-D embedding export and simple SVG/CSV emission."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .contrastive import AugmentSpec, augment
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError
 from .models import ModelTriple
+
+CONSISTENCY_NEIGHBORS = 8  # weakly augmented neighbors per row
 
 
 def test_accuracy(proba: np.ndarray, test_labels: np.ndarray) -> float:
@@ -37,38 +37,17 @@ def auc_score(scores: np.ndarray, positives: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-@dataclass
-class PartitionQuality:
-    auc: float
-    precision: float
-    recall: float
-
-
-def partition_quality(clean_prob: np.ndarray, flip_mask: np.ndarray,
-                      threshold: float) -> PartitionQuality:
-    """Score clean probabilities against ground truth (clean = not flipped)."""
-    clean_prob = np.asarray(clean_prob, dtype=np.float64)
-    is_clean = ~np.asarray(flip_mask, dtype=bool)
-    auc = auc_score(clean_prob, is_clean)
-    predicted_clean = clean_prob >= threshold
-    n_pred = predicted_clean.sum()
-    precision = float((predicted_clean & is_clean).sum() / n_pred) if n_pred else 0.0
-    recall = float((predicted_clean & is_clean).sum() / max(is_clean.sum(), 1))
-    return PartitionQuality(auc=auc, precision=precision, recall=recall)
-
-
 def consistency_metric(m: ModelTriple, x: np.ndarray, spec: AugmentSpec,
-                       n_neighbors: int, rng: np.random.Generator) -> float:
-    """Mean over samples of whether any of n weakly augmented neighbors flips
-    the predicted class; a finite-sample estimate of the neighborhood
-    disagreement rate (0 = perfectly consistent)."""
-    ParameterError.check_value("n_neighbors", n_neighbors, ">= 1")
+                       rng: np.random.Generator) -> float:
+    """Mean over samples of whether any of ``CONSISTENCY_NEIGHBORS`` weakly
+    augmented neighbors flips the predicted class; a finite-sample estimate
+    of the neighborhood disagreement rate (0 = perfectly consistent)."""
     x = np.asarray(x, dtype=np.float64)
     if len(x) == 0:
         raise DegenerateInputError("consistency_metric needs at least one row")
     base = np.argmax(m.predict_proba(x), axis=1)
     changed = np.zeros(len(x), dtype=bool)
-    for _ in range(n_neighbors):
+    for _ in range(CONSISTENCY_NEIGHBORS):
         neighbor = augment(x, spec, "weak", rng)
         changed |= np.argmax(m.predict_proba(neighbor), axis=1) != base
     return float(changed.mean())

@@ -85,11 +85,11 @@ def co_refine(clean_prob: np.ndarray, noisy_one_hot: np.ndarray,
 
 
 def mixup(x1: np.ndarray, p1: np.ndarray, x2: np.ndarray, p2: np.ndarray,
-          alpha: float, rng: np.random.Generator, lam: float | None = None):
-    """Convex combination with lam' = max(lam, 1-lam), biased toward the first arg."""
+          alpha: float, rng: np.random.Generator):
+    """Convex combination with lam' = max(lam, 1-lam) for lam ~ Beta(alpha,
+    alpha), biased toward the first arg."""
     ParameterError.check_value("mixup alpha", alpha, "> 0")
-    if lam is None:
-        lam = rng.beta(alpha, alpha)
+    lam = rng.beta(alpha, alpha)
     lam = max(lam, 1.0 - lam)
     x_mix = lam * x1 + (1.0 - lam) * x2
     p_mix = lam * p1 + (1.0 - lam) * p2

@@ -92,23 +92,22 @@ class ModelTriple:
         self.proj = Mlp([arch.repr_dim, arch.proj_hidden, arch.proj_dim], rng)
         self.cls = Mlp([arch.repr_dim, arch.num_classes], rng)
 
-    def _check_input(self, x):
-        dim = x.data.shape[1] if isinstance(x, Tensor) else np.asarray(x).shape[1]
+    def _check_input(self, x: np.ndarray):
+        dim = np.shape(x)[1]
         if dim != self.arch.input_dim:
             raise DimensionError(
                 f"input has {dim} columns, model expects {self.arch.input_dim}")
 
-    def forward_features(self, x) -> Tensor:
+    def forward_features(self, x: np.ndarray) -> Tensor:
         self._check_input(x)
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        return self.feat.forward(x)
+        return self.feat.forward(Tensor(x))
 
-    def forward_projection(self, x) -> Tensor:
+    def forward_projection(self, x: np.ndarray) -> Tensor:
         """Unit-norm projected vectors z = normalize(Proj(F(x)))."""
         r = self.forward_features(x)
         return T.l2_normalize(self.proj.forward(r))
 
-    def forward_logits(self, x) -> Tensor:
+    def forward_logits(self, x: np.ndarray) -> Tensor:
         r = self.forward_features(x)
         return self.cls.forward(r)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, ContractError
+from .errors import DegenerateInputError, DimensionError
 
 EPS_NORM = 1e-12
 _FLOAT64 = np.dtype(np.float64)
@@ -81,10 +81,6 @@ def _post_order(node: Tensor, seen: set, order: list):
     order.append(node)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _accumulate(t: Tensor, g: np.ndarray):
     """Add ``g`` to ``t.grad`` without writing into either array."""
     if t.requires_grad:
@@ -120,10 +116,9 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     return p * (dp - (dp * p).sum(axis=1, keepdims=True))
 
 
-def matmul(a, b, bias, relu: bool = False) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """``a @ b``, plus the 1-D ``bias`` on every row, then ReLU if ``relu``:
     one linear layer as one node."""
-    a, b, bias = _wrap(a), _wrap(b), _wrap(bias)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     if bias.data.shape != (b.data.shape[1],):
@@ -148,7 +143,7 @@ def _cross_entropy(name: str, logits: np.ndarray, targets: np.ndarray):
     _check_rows(name, logits, targets)
     row_sums = targets.sum(axis=1, keepdims=True)
     if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        raise ContractError(f"{name}: target rows must sum to 1")
+        raise DegenerateInputError(f"{name}: target rows must sum to 1")
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -157,13 +152,12 @@ def _cross_entropy(name: str, logits: np.ndarray, targets: np.ndarray):
     return value, lambda g: (e / s * row_sums - targets) * (g / n)
 
 
-def softmax_cross_entropy(logits, targets) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over rows of -sum_c target_c * log softmax(logits)_c.
 
     ``targets`` are probability rows (each must sum to 1 within 1e-6) and are
     treated as constants. The log-sum-exp is stabilized by the row max.
     """
-    logits = _wrap(logits)
     targets = np.asarray(targets, dtype=np.float64)
     value, grad = _cross_entropy("softmax_cross_entropy", logits.data, targets)
 
@@ -173,14 +167,13 @@ def softmax_cross_entropy(logits, targets) -> Tensor:
     return Tensor(value, parents=(logits,), backward=backward)
 
 
-def mixmatch_loss(logits, targets, is_labeled, lambda_u: float, lambda_r: float):
+def mixmatch_loss(logits: Tensor, targets, is_labeled, lambda_u: float, lambda_r: float):
     """MixMatch's objective Lx + lambda_u Lu + lambda_r Lreg as one node, with
     constant ``targets``: Lx the cross-entropy of the ``is_labeled`` rows
     (whose targets must sum to 1), Lu the mean squared error of the other
     rows' softmax (0 with none), Lreg = KL(uniform || mean softmax over all
     rows), which keeps the mean prediction from collapsing onto few classes.
     Returns the floats Lx, Lu, Lreg and the total's node."""
-    logits = _wrap(logits)
     targets = np.asarray(targets, dtype=np.float64)
     lab = np.asarray(is_labeled, dtype=bool)
     _check_rows("mixmatch_loss", logits.data, targets)
@@ -218,9 +211,8 @@ def mixmatch_loss(logits, targets, is_labeled, lambda_u: float, lambda_r: float)
     return float(lx), float(lu), float(lreg), total
 
 
-def l2_normalize(v) -> Tensor:
+def l2_normalize(v: Tensor) -> Tensor:
     """Normalize each row to unit Euclidean norm; rejects near-zero rows."""
-    v = _wrap(v)
     if v.data.ndim != 2:
         raise DimensionError("l2_normalize expects a 2-D tensor")
     norms = np.sqrt((v.data * v.data).sum(axis=1, keepdims=True))
@@ -235,7 +227,7 @@ def l2_normalize(v) -> Tensor:
     return Tensor(z, parents=(v,), backward=backward)
 
 
-def info_nce(z, keys, tau: float) -> Tensor:
+def info_nce(z: Tensor, keys, tau: float) -> Tensor:
     """Mean over anchors (rows of ``z``) of InfoNCE at temperature ``tau``.
 
     Similarities are ``S = z z^T / tau``; anchor i's candidates are every
@@ -251,7 +243,6 @@ def info_nce(z, keys, tau: float) -> Tensor:
     s its row sum of E), the gradient is
     dz = (a E z + E^T (a z) - c P z - P (c z)) / tau.
     """
-    z = _wrap(z)
     zd = z.data
     if zd.ndim != 2:
         raise DimensionError(f"info_nce: embeddings {z.shape} are not one row per view")

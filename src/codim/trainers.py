@@ -149,8 +149,7 @@ def _step(opt: SGD, loss: Tensor, terms=()) -> float:
 
 def _consistency(net: ModelTriple, dataset: Dataset, cfg: TrainConfig, tag: int,
                  rows=slice(None)) -> float:
-    return consistency_metric(net, dataset.x[rows], cfg.aug, n_neighbors=8,
-                              rng=_rng(cfg.seed, 0xE5, tag))
+    return consistency_metric(net, dataset.x[rows], cfg.aug, _rng(cfg.seed, 0xE5, tag))
 
 
 def pretrain_selfcon(dataset: Dataset, m: ModelTriple, cfg: TrainConfig) -> list[float]:

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codim import __version__
 from codim.checkpoint import MAGIC
 from codim.cli import _read_losses, main
 from codim.config import (SCHEMA, load_config, make_dataset, make_train_config,
@@ -60,9 +61,12 @@ def small_config(extra=""):
 
 
 def write_config(tmp_path, extra=""):
+    """A small config at ``tmp_path/run.cfg`` that writes to ``tmp_path/out``
+    unless ``extra`` sets its own ``out_dir``."""
     path = tmp_path / "run.cfg"
     out_dir = tmp_path / "out"
-    path.write_text(small_config(f"out_dir = {out_dir}\n" + extra))
+    own = "" if "out_dir" in extra else f"out_dir = {out_dir}\n"
+    path.write_text(small_config(own + extra))
     return str(path), str(out_dir)
 
 
@@ -204,6 +208,17 @@ def test_cli_manifest_build_ignores_the_working_directory_repo(tmp_path, monkeyp
     assert main(["gen", cfg]) == 0
     build = open(os.path.join(out_dir, "manifest.txt")).readline()
     assert build.startswith("build = ") and build != f"build = {foreign}\n"
+
+
+def test_cli_manifest_build_survives_a_hung_git(tmp_path, monkeypatch):
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    cfg, out_dir = write_config(tmp_path)
+    assert main(["gen", cfg]) == 0
+    build = open(os.path.join(out_dir, "manifest.txt")).readline()
+    assert build == f"build = codim-{__version__}\n"
 
 
 def test_importing_the_cli_leaves_subprocess_out():
@@ -629,6 +644,7 @@ def test_cli_out_of_range_config_value_exits_2(tmp_path, capsys):
     ("gen", "class_separation = inf", "class_separation"),
     ("gen", "intra_std = inf", "intra_std"),
     ("gen", "dataset = rings", "bad value for 'dataset'"),
+    ("gen", "out_dir =", "bad value for 'out_dir'"),
     pytest.param("train", "num_classes = 1\nsamples_per_class = 5", "num_classes",
                  id="train-one-class-test-split-num_classes"),
     pytest.param("gen", "num_classes = 1\nnoise_kind = asymmetric", "num_classes",

@@ -116,7 +116,7 @@ def test_losses_invariant_to_view_permutation():
     sources, view_labels = np.repeat(np.arange(6), 2), np.repeat(labels, 2)
     for _ in range(5):
         perm = rng.permutation(12)
-        pz = z.data[perm]
+        pz = Tensor(z.data[perm])
         assert abs(T.info_nce(pz, sources[perm], 0.4).item() - base_self) <= 1e-12
         assert abs(T.info_nce(pz, view_labels[perm], 0.4).item() - base_sup) <= 1e-12
 

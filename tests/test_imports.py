@@ -2,7 +2,8 @@
 that module, every module-level private name a module under src/codim or
 scripts/ defines is referenced elsewhere in it, every public top-level
 function and class of src/codim and every attribute a codim class sets has
-a reader outside tests/, scripts/reproduce.py builds its runs only from
+a reader outside tests/, every defaulted parameter of src/codim is set by a
+caller outside tests/, scripts/reproduce.py builds its runs only from
 config text, every random stream of the trainers has its own tag, and every
 codim name the benchmark under bench/ calls or expects to see traced still
 resolves."""
@@ -11,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import pathlib
 
 import pytest
@@ -92,7 +94,7 @@ def test_no_dead_private_names(path):
 # public names that only tests reach, each with the ROADMAP item that gives
 # it a caller or removes it
 UNCALLED = {"load_idx": "item 8", "write_idx_images": "item 8",
-            "write_idx_labels": "item 8", "partition_quality": "item 3"}
+            "write_idx_labels": "item 8"}
 
 
 def uncalled_public_names(defining: list[str], calling: list[str]) -> list[str]:
@@ -128,6 +130,82 @@ def test_every_public_name_has_a_caller_outside_tests():
     defining = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
     calling = [path.read_text(encoding="utf-8") for path in CODE + list(BENCH.glob("*.py"))]
     assert uncalled_public_names(defining, calling) == sorted(UNCALLED)
+
+
+# defaulted parameters that only tests set, each with the ROADMAP item that
+# gives it a caller or removes it
+UNSET_DEFAULTS = {"load_idx.max_samples": "item 8", "load_idx.downsample_to": "item 8"}
+
+
+def defaulted_parameters(source: str) -> list[tuple]:
+    """``(callee, label, parameter, position)`` for every defaulted parameter
+    of a function of ``source``: ``callee`` is the name a call reads, the
+    class for an ``__init__``; ``label`` is ``[Class.]function.parameter``;
+    ``position`` counts the positional arguments before it, past ``self``,
+    and is None for a keyword-only one."""
+    tree = ast.parse(source)
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef)}
+    out = []
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        cls = owner.get(id(f))
+        positional = f.args.posonlyargs + f.args.args
+        if cls and "staticmethod" not in [getattr(d, "id", None) for d in f.decorator_list]:
+            positional = positional[1:]
+        callee = cls if f.name == "__init__" else f.name
+        label = f.name if cls is None else f"{cls}.{f.name}"
+        first = len(positional) - len(f.args.defaults)
+        out += [(callee, f"{label}.{a.arg}", a.arg, i)
+                for i, a in enumerate(positional) if i >= first]
+        out += [(callee, f"{label}.{a.arg}", a.arg, None)
+                for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+    return out
+
+
+def unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """The labels of the defaulted parameters of the ``defining`` sources
+    that no call of the ``calling`` sources sets, by keyword or by position.
+    A call is matched by its callee's name or last attribute; ``*args`` sets
+    every positional parameter and ``**kwargs`` every parameter."""
+    calls = {}  # callee -> (most positional arguments, keywords)
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                most, keywords = calls.get(name, (0, set()))
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                calls[name] = (max(most, math.inf if star else len(node.args)),
+                               keywords | {k.arg for k in node.keywords})
+    unset = []
+    for source in defining:
+        for callee, label, param, position in defaulted_parameters(source):
+            most, keywords = calls.get(callee, (0, set()))
+            if not ({param, None} & keywords or (position is not None and position < most)):
+                unset.append(label)
+    return sorted(unset)
+
+
+def test_detects_unset_default():
+    defining = ("def run(a, b=1, *, c=2):\n    pass\n\n"
+                "class Net:\n    def __init__(self, w=0):\n        pass\n"
+                "    def step(self, lr=None):\n        pass\n")
+    assert unset_defaults([defining], [defining]) == [
+        "Net.__init__.w", "Net.step.lr", "run.b", "run.c"]
+    calling = "run(0, 1)\nNet(w=3).step(*args)\nrun(0, **kw)\n"
+    assert unset_defaults([defining], [calling]) == []
+    assert unset_defaults([defining], ["run(0, c=1)\nnet.step()\n"]) == [
+        "Net.__init__.w", "Net.step.lr", "run.b"]
+
+
+def test_every_defaulted_parameter_is_set_outside_tests():
+    """A default that no caller outside the tests overrides is a constant:
+    each name in UNSET_DEFAULTS must still be unset, so the list cannot
+    outlive the ROADMAP item that settles it."""
+    defining = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
+    calling = [path.read_text(encoding="utf-8") for path in CODE + list(BENCH.glob("*.py"))]
+    assert unset_defaults(defining, calling) == sorted(UNSET_DEFAULTS)
 
 
 # attributes that a codim class sets and nothing yet reads, each with the

@@ -10,8 +10,7 @@ import pytest
 from codim.contrastive import AugmentSpec
 from codim.errors import DegenerateInputError
 from codim.metrics import (auc_score, consistency_metric, export_curves_svg,
-                           export_embeddings_2d, partition_quality, pca_2d,
-                           write_csv)
+                           export_embeddings_2d, pca_2d, write_csv)
 from codim.metrics import test_accuracy as accuracy_of
 from codim.models import Arch, ModelTriple
 
@@ -84,16 +83,6 @@ def test_auc_extremes_and_degenerate():
         auc_score(scores, np.array([True, True, True, True]))
 
 
-def test_partition_quality_counts():
-    clean_prob = np.array([0.9, 0.8, 0.3, 0.6])
-    flip_mask = np.array([False, False, True, True])
-    q = partition_quality(clean_prob, flip_mask, threshold=0.5)
-    # predicted clean = {0, 1, 3}; true clean = {0, 1}
-    assert q.precision == pytest.approx(2.0 / 3.0)
-    assert q.recall == 1.0
-    assert q.auc == pytest.approx(brute_auc(clean_prob, ~flip_mask))
-
-
 def _model(seed=0):
     return ModelTriple(Arch(input_dim=2, num_classes=3, feat_hidden=(16, 16),
                             proj_hidden=64, proj_dim=16),
@@ -104,11 +93,10 @@ def test_consistency_monotone_in_jitter():
     """More aggressive weak jitter flips predictions for more samples."""
     m = _model()
     x = rng_for(0xE1).normal(size=(400, 2)) * 2.0
-    small = consistency_metric(m, x, AugmentSpec(weak_jitter_sigma=0.01),
-                               n_neighbors=8, rng=rng_for(1))
+    small = consistency_metric(m, x, AugmentSpec(weak_jitter_sigma=0.01), rng=rng_for(1))
     large = consistency_metric(m, x, AugmentSpec(weak_jitter_sigma=1.0,
                                                  strong_jitter_sigma=1.0),
-                               n_neighbors=8, rng=rng_for(1))
+                               rng=rng_for(1))
     assert small <= large
     assert 0.0 <= small and large <= 1.0
 
@@ -120,8 +108,7 @@ def test_consistency_zero_for_constant_model():
             out[:, 0] = 1.0
             return out
 
-    val = consistency_metric(Constant(), np.zeros((50, 2)), AugmentSpec(),
-                             n_neighbors=4, rng=rng_for(2))
+    val = consistency_metric(Constant(), np.zeros((50, 2)), AugmentSpec(), rng=rng_for(2))
     assert val == 0.0
 
 
@@ -131,8 +118,7 @@ def test_consistency_rejects_empty_rows_before_predicting():
             raise AssertionError("predicted on an empty batch")
 
     with pytest.raises(DegenerateInputError, match="at least one row"):
-        consistency_metric(Unreachable(), np.zeros((0, 2)), AugmentSpec(),
-                           n_neighbors=4, rng=rng_for(2))
+        consistency_metric(Unreachable(), np.zeros((0, 2)), AugmentSpec(), rng=rng_for(2))
 
 
 def test_pca_2d_recovers_rank2_structure():

@@ -72,9 +72,13 @@ def test_co_refine_blend_oracle():
 def test_mixup_forced_lambda():
     x1, x2 = np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
     p1, p2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-    xm, pm = mixup(x1, p1, x2, p2, alpha=4.0, rng=rng_for(0), lam=0.3)
-    # lam' = max(0.3, 0.7) = 0.7, biased toward the first argument
-    assert np.allclose(xm, [[0.3, 0.3]]) and np.allclose(pm, [[0.7, 0.3]])
+    xm, pm = mixup(x1, p1, x2, p2, alpha=4.0, rng=rng_for(0))
+    # lam' = max(lam, 1 - lam) of the generator's one Beta(4, 4) draw, biased
+    # toward the first argument
+    lam = rng_for(0).beta(4.0, 4.0)
+    lam = max(lam, 1.0 - lam)
+    assert np.array_equal(xm, lam * x1 + (1.0 - lam) * x2)
+    assert np.array_equal(pm, lam * p1 + (1.0 - lam) * p2)
 
 
 def test_mixup_weight_distribution_matches_folded_beta():

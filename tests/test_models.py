@@ -9,7 +9,6 @@ import pytest
 from codim.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from codim.errors import CheckpointError, DimensionError
 from codim.models import Arch, Mlp, ModelTriple
-from codim.tensor import Tensor
 from codim.trainers import TrainConfig
 
 from conftest import rng_for
@@ -38,7 +37,7 @@ def test_forward_np_matches_graph_forward():
     # of both paths must carry the same sign
     m = make_model()
     x = rng_for(1).normal(size=(50, 3))
-    graph = m.forward_logits(Tensor(x)).data
+    graph = m.forward_logits(x).data
     plain = m.cls.forward_np(m.feat.forward_np(x))
     assert graph.tobytes() == plain.tobytes()
     feats = m.forward_features(x).data

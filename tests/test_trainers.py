@@ -255,7 +255,7 @@ def test_epoch_consistency_is_measured_on_a_fixed_row_subset():
     trainer.prepare()
     for epoch in range(cfg.epochs):
         row = trainer.epoch(epoch)
-        want = consistency_metric(trainer.duo.net_a, ds.x[rows], cfg.aug, n_neighbors=8,
+        want = consistency_metric(trainer.duo.net_a, ds.x[rows], cfg.aug,
                                   rng=trainers._rng(cfg.seed, 0xE5, epoch))
         assert row.consistency == want
 
@@ -268,7 +268,7 @@ def test_epoch_consistency_uses_every_row_of_a_small_set():
     trainer.prepare()
     for epoch in range(cfg.epochs):
         row = trainer.epoch(epoch)
-        whole = consistency_metric(trainer.duo.net_a, ds.x, cfg.aug, n_neighbors=8,
+        whole = consistency_metric(trainer.duo.net_a, ds.x, cfg.aug,
                                    rng=trainers._rng(cfg.seed, 0xE5, epoch))
         assert repr(row.consistency) == repr(whole)
 
