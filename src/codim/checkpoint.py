@@ -23,7 +23,6 @@ def save_checkpoint(path, params: dict[str, np.ndarray]):
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         for name, arr in params.items():
-            arr = np.asarray(arr, dtype=np.float64)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

@@ -65,10 +65,14 @@ def _prepare_run_dir(values: dict) -> str:
 def _load_run(args, **overrides):
     """The config at ``args.config`` with each override that is not None set
     in it, its dataset and its training config, as ``(values, dataset, cfg)``.
-    Every command checks its config this way, so a config that cannot train
-    is rejected before any run directory is written."""
+    A mode alias's other fields are set in ``values`` too, so the snapshot
+    records the run that the alias makes. Every command checks its config
+    this way, so a config that cannot train is rejected before any run
+    directory is written."""
     values = load_config(args.config)
     values.update((key, v) for key, v in overrides.items() if v is not None)
+    values.update((key, v) for key, v in MODE_ALIASES.get(values["mode"], {}).items()
+                  if key != "mode")
     return values, make_dataset(values), make_train_config(values)
 
 
@@ -107,6 +111,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--pretrained needs a pre-trained mode; {values['mode']} "
                           "trains from scratch")
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
+    if pretrained is not None:  # a checkpoint that does not fit the model writes nothing
+        ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=cfg.seed).load_state_dict(pretrained)
     out_dir = _prepare_run_dir(values)
     if values["mode"] == "ce":
         net, record = train_ce(ds, cfg)

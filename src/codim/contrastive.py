@@ -47,7 +47,6 @@ def augment(x: np.ndarray, spec: AugmentSpec, strength: str,
             rng: np.random.Generator) -> np.ndarray:
     if strength not in ("weak", "strong"):
         raise ParameterError(f"unknown augmentation strength {strength!r}")
-    x = np.asarray(x, dtype=np.float64)
     if strength == "weak":
         return x + rng.normal(0.0, spec.weak_jitter_sigma, size=x.shape)
     out = x + rng.normal(0.0, spec.strong_jitter_sigma, size=x.shape)
@@ -78,7 +77,6 @@ def sup_con_loss(z: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     anchor's label, ``labels`` holding one class id per source row; anchors
     without a positive are skipped, so it is never NaN."""
     _check_batch(z, tau)
-    labels = np.asarray(labels)
     if labels.shape != (z.data.shape[0] // 2,):
         raise DimensionError(f"sup_con_loss: labels {labels.shape} for "
                              f"{z.data.shape[0] // 2} source rows")
@@ -89,7 +87,6 @@ def make_view_batch(m: ModelTriple, x: np.ndarray, spec: AugmentSpec,
                     rng: np.random.Generator) -> Tensor:
     """Two independent strong augmentations per row, projected to 2K unit
     rows: source row k's two views are rows 2k and 2k + 1."""
-    x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise DegenerateInputError("make_view_batch: empty batch")
     k = x.shape[0]

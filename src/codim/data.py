@@ -46,7 +46,7 @@ class Dataset:
         return self.with_labels(inject_noise(self.clean_labels, self.num_classes, spec))
 
     def with_labels(self, new_labels: np.ndarray) -> "Dataset":
-        return replace(self, noisy_labels=np.asarray(new_labels, dtype=np.intp))
+        return replace(self, noisy_labels=new_labels)
 
 
 @dataclass

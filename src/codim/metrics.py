@@ -16,12 +16,11 @@ def test_accuracy(proba: np.ndarray, test_labels: np.ndarray) -> float:
     """Fraction of rows of the ``(n, C)`` probabilities ``proba`` whose argmax
     is the row's label."""
     preds = np.argmax(proba, axis=1)
-    return float(np.mean(preds == np.asarray(test_labels)))
+    return float(np.mean(preds == test_labels))
 
 
 def auc_score(scores: np.ndarray, positives: np.ndarray) -> float:
     """Rank-statistic AUC (ties count 0.5); equals brute-force pairwise counting."""
-    scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
     n_pos = positives.sum()
     n_neg = (~positives).sum()
@@ -42,7 +41,6 @@ def consistency_metric(m: ModelTriple, x: np.ndarray, spec: AugmentSpec,
     """Mean over samples of whether any of ``CONSISTENCY_NEIGHBORS`` weakly
     augmented neighbors flips the predicted class; a finite-sample estimate
     of the neighborhood disagreement rate (0 = perfectly consistent)."""
-    x = np.asarray(x, dtype=np.float64)
     if len(x) == 0:
         raise DegenerateInputError("consistency_metric needs at least one row")
     base = np.argmax(m.predict_proba(x), axis=1)
@@ -73,14 +71,12 @@ _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 def export_embeddings_2d(m: ModelTriple, x: np.ndarray, labels: np.ndarray, out_path):
     """PCA scatter of the feature space as a deterministic 480x480 SVG file."""
     size = 480
-    x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < 3:
         raise DegenerateInputError("export_embeddings_2d needs at least 3 samples")
     feats = m.feat.forward_np(x)
     pts = feats[:, :2] if feats.shape[1] <= 2 else pca_2d(feats)
     if pts.shape[1] < 2:
         pts = np.column_stack([pts[:, 0], np.zeros(len(pts))])
-    labels = np.asarray(labels, dtype=np.intp)
     lo = pts.min(axis=0)
     span = np.maximum(pts.max(axis=0) - lo, 1e-12)
     margin = 30

@@ -41,14 +41,12 @@ class SslHyper:
 def sharpen(p: np.ndarray, t: float) -> np.ndarray:
     """Row-wise p^(1/t), renormalized; entropy minimization knob."""
     ParameterError.check_value("t", t, "invertible")
-    p = np.asarray(p, dtype=np.float64)
     powered = np.power(p, 1.0 / t)
     return powered / powered.sum(axis=1, keepdims=True)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    eye = np.eye(num_classes)
-    return eye[np.asarray(labels, dtype=np.intp)]
+    return np.eye(num_classes)[labels]
 
 
 def mean_weak_proba(nets: tuple[ModelTriple, ...], x: np.ndarray, spec: AugmentSpec,
@@ -69,7 +67,6 @@ def mean_weak_proba(nets: tuple[ModelTriple, ...], x: np.ndarray, spec: AugmentS
 def guess_labels(nets: tuple[ModelTriple, ...], u: np.ndarray, spec: AugmentSpec,
                  hyper: SslHyper, rng: np.random.Generator) -> np.ndarray:
     """Co-guessing: average every net's softmax over weak views, then sharpen."""
-    u = np.asarray(u, dtype=np.float64)
     if u.shape[0] < 1:
         raise DegenerateInputError("guess_labels: empty batch")
     return sharpen(mean_weak_proba(nets, u, spec, hyper.num_augs, rng),
@@ -79,7 +76,7 @@ def guess_labels(nets: tuple[ModelTriple, ...], u: np.ndarray, spec: AugmentSpec
 def co_refine(clean_prob: np.ndarray, noisy_one_hot: np.ndarray,
               own_pred: np.ndarray, t: float) -> np.ndarray:
     """Blend noisy label and own prediction by clean probability, then sharpen."""
-    w = np.asarray(clean_prob, dtype=np.float64)[:, None]
+    w = clean_prob[:, None]
     refined = w * noisy_one_hot + (1.0 - w) * own_pred
     return sharpen(refined, t)
 
@@ -101,8 +98,7 @@ def build_semi_batch(x_lab: np.ndarray, p_lab: np.ndarray, x_unl: np.ndarray,
     """MixUp each row with a random partner drawn from the combined pool.
     Returns the mixed inputs, their targets, whose rows must sum to 1, and
     the mask of the rows that came from the labeled side."""
-    pool_x = np.concatenate([x_lab, x_unl]) if len(x_unl) else np.asarray(x_lab)
-    pool_p = np.concatenate([p_lab, p_unl]) if len(x_unl) else np.asarray(p_lab)
+    pool_x, pool_p = np.concatenate([x_lab, x_unl]), np.concatenate([p_lab, p_unl])
     perm = rng.permutation(pool_x.shape[0])
     mixed_x, mixed_p = mixup(pool_x, pool_p, pool_x[perm], pool_p[perm], alpha, rng)
     if np.any(np.abs(mixed_p.sum(axis=1) - 1.0) > 1e-6):

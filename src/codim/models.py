@@ -53,11 +53,10 @@ class Mlp:
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         """Graph-free forward for evaluation paths."""
-        h = np.asarray(x, dtype=np.float64)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T._linear(h, w.data, b.data, i < last or self.final_relu)
-        return h
+            x = T._linear(x, w.data, b.data, i < last or self.final_relu)
+        return x
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {}
@@ -116,7 +115,6 @@ class ModelTriple:
 
         Runs ``EVAL_BLOCK_ROWS`` rows at a time into one preallocated output,
         with the arithmetic of a whole-set pass in the same order."""
-        x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
         out = np.empty((len(x), self.arch.num_classes))
         for start in range(0, len(x), EVAL_BLOCK_ROWS):

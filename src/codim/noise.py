@@ -39,7 +39,6 @@ def inject_noise(labels: np.ndarray, num_classes: int, spec: NoiseSpec) -> np.nd
     for strict symmetric noise, 1 for symmetric noise redrawn over all
     classes and 0.5 for asymmetric noise.
     """
-    labels = np.asarray(labels, dtype=np.intp)
     if spec.kind == "none" or spec.ratio == 0:
         return labels.copy()
     if spec.kind == "symmetric" and spec.redraw_over_all:
@@ -79,8 +78,7 @@ def per_sample_losses(m: ModelTriple, x: np.ndarray, noisy_labels: np.ndarray) -
     if not np.isfinite(probs).all():
         raise DegenerateInputError("per_sample_losses: non-finite predictions")
     n = len(noisy_labels)
-    losses = -np.log(np.maximum(probs[np.arange(n), np.asarray(noisy_labels, dtype=np.intp)],
-                                1e-300))
+    losses = -np.log(np.maximum(probs[np.arange(n), noisy_labels], 1e-300))
     lo, hi = losses.min(), losses.max()
     if hi - lo < 1e-12:
         return np.zeros_like(losses)
@@ -133,7 +131,6 @@ def fit_gmm_1d(values: np.ndarray) -> GmmParams:
     constant input; the caller should then treat all samples as clean.
     """
     max_iter, tol, var_floor = 100, 1e-6, 1e-6
-    values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if n < 10:
         raise DegenerateInputError("fit_gmm_1d needs at least 10 values")
@@ -202,8 +199,7 @@ class Partition:
 
 def make_partition(g: GmmParams, values: np.ndarray, threshold: float) -> Partition:
     """Clean probability = posterior of the low-mean component at each value."""
-    dens, totals = _densities(np.asarray(values, dtype=np.float64),
-                              g.weights, g.means, g.variances)
+    dens, totals = _densities(values, g.weights, g.means, g.variances)
     return Partition.split(dens[0] / totals, threshold, gmm=g)
 
 
@@ -211,7 +207,6 @@ def partition_losses(losses: np.ndarray, threshold: float) -> Partition:
     """GMM fit to per-sample losses and the posterior split at ``threshold``;
     non-finite losses raise. Fallbacks: all clean without a fit on constant
     or fewer than 10 losses, the lowest-loss 10% when no sample is clean."""
-    losses = np.asarray(losses, dtype=np.float64)
     if not np.isfinite(losses).all():
         raise DegenerateInputError("partition_losses: losses must be finite")
     try:

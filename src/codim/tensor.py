@@ -57,12 +57,18 @@ class Tensor:
         return self.data.item()
 
     def backward(self, seed: float = 1.0):
-        """Add the gradient of ``seed * self`` to every node that requires
-        one, on top of what earlier passes left in the leaves' ``grad``."""
+        """Add the gradient of ``seed * self`` to every leaf that requires
+        one, on top of what earlier passes left in the leaves' ``grad``.
+        Passes are independent of each other: each first clears what an
+        earlier pass left in the other nodes, so two passes through a shared
+        node add what two separate graphs would."""
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
         order = []
         _post_order(self, set(), order)
+        for node in order:
+            if node._parents:
+                node.grad = None
         self.grad = np.full(self.data.shape, seed, dtype=np.float64)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
@@ -152,13 +158,12 @@ def _cross_entropy(name: str, logits: np.ndarray, targets: np.ndarray):
     return value, lambda g: (e / s * row_sums - targets) * (g / n)
 
 
-def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean over rows of -sum_c target_c * log softmax(logits)_c.
 
     ``targets`` are probability rows (each must sum to 1 within 1e-6) and are
     treated as constants. The log-sum-exp is stabilized by the row max.
     """
-    targets = np.asarray(targets, dtype=np.float64)
     value, grad = _cross_entropy("softmax_cross_entropy", logits.data, targets)
 
     def backward(g):
@@ -167,14 +172,14 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     return Tensor(value, parents=(logits,), backward=backward)
 
 
-def mixmatch_loss(logits: Tensor, targets, is_labeled, lambda_u: float, lambda_r: float):
+def mixmatch_loss(logits: Tensor, targets: np.ndarray, is_labeled: np.ndarray,
+                  lambda_u: float, lambda_r: float):
     """MixMatch's objective Lx + lambda_u Lu + lambda_r Lreg as one node, with
     constant ``targets``: Lx the cross-entropy of the ``is_labeled`` rows
     (whose targets must sum to 1), Lu the mean squared error of the other
     rows' softmax (0 with none), Lreg = KL(uniform || mean softmax over all
     rows), which keeps the mean prediction from collapsing onto few classes.
     Returns the floats Lx, Lu, Lreg and the total's node."""
-    targets = np.asarray(targets, dtype=np.float64)
     lab = np.asarray(is_labeled, dtype=bool)
     _check_rows("mixmatch_loss", logits.data, targets)
     n, c = logits.data.shape
@@ -227,7 +232,7 @@ def l2_normalize(v: Tensor) -> Tensor:
     return Tensor(z, parents=(v,), backward=backward)
 
 
-def info_nce(z: Tensor, keys, tau: float) -> Tensor:
+def info_nce(z: Tensor, keys: np.ndarray | None, tau: float) -> Tensor:
     """Mean over anchors (rows of ``z``) of InfoNCE at temperature ``tau``.
 
     Similarities are ``S = z z^T / tau``; anchor i's candidates are every
@@ -258,7 +263,6 @@ def info_nce(z: Tensor, keys, tau: float) -> Tensor:
 
         valid, inv_counts = np.ones(n, dtype=bool), 1.0
     else:
-        keys = np.asarray(keys)
         if keys.shape != (n,):
             raise DimensionError(f"info_nce: embeddings {z.shape} with keys {keys.shape}")
         positives = np.empty((n, n))

@@ -124,8 +124,6 @@ def _rng(*entropy) -> np.random.Generator:
 
 
 def _draw(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
-    if len(pool) == 0:
-        return np.array([], dtype=np.intp)
     return rng.choice(pool, size=min(size, len(pool)), replace=False)
 
 

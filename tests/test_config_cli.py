@@ -772,6 +772,26 @@ def test_cli_pretrained_checkpoint_of_other_width_exits_3(tmp_path, capsys):
     assert "CheckpointError" in err and "'feat.0.w'" in err
 
 
+def test_cli_pretrained_checkpoint_that_does_not_fit_writes_nothing(tmp_path, capsys):
+    """A checkpoint of an 8-wide trunk under a 64-64 model is rejected
+    before the run directory is touched: an earlier run's files stay as
+    they were, and no new file appears."""
+    cfg, out_dir = write_config(tmp_path)  # feat_hidden = 8,8
+    assert main(["pretrain", cfg]) == 0
+    ckpt = os.path.join(out_dir, "pretrain.ckpt")
+    kept = {name: open(os.path.join(out_dir, name), "rb").read()
+            for name in os.listdir(out_dir)}
+    wide, _ = write_config(tmp_path, "feat_hidden = 64,64\nseed = 7\n")
+    capsys.readouterr()
+    assert main(["train", wide, "--pretrained", ckpt]) == 3
+    assert capsys.readouterr().err == (
+        "error: CheckpointError: parameter 'feat.0.w' has shape (2, 8) in the "
+        "checkpoint, model expects (2, 64)\n")
+    assert sorted(os.listdir(out_dir)) == sorted(kept)
+    for name, content in kept.items():
+        assert open(os.path.join(out_dir, name), "rb").read() == content, name
+
+
 # ------------------------------------------------------------- one source of defaults
 
 def test_empty_config_gives_dataclass_defaults():
@@ -830,6 +850,19 @@ def test_cli_bare_snapshot_replays_the_run(tmp_path):
     assert main(["train", cfg, "--mode", "bare"]) == 0
     snapshot = os.path.join(out_dir, "config_resolved.txt")
     assert "mode = bare" in open(snapshot).read().splitlines()
+    first = open(os.path.join(out_dir, "metrics.csv"), "rb").read()
+    assert main(["train", snapshot]) == 0
+    assert open(os.path.join(out_dir, "metrics.csv"), "rb").read() == first
+
+
+def test_cli_dividemix_snapshot_records_no_pretraining(tmp_path):
+    """dividemix pre-trains for no step whatever ``pretrain_steps`` says, so
+    its snapshot reads ``pretrain_steps = 0`` and replays the run."""
+    cfg, out_dir = write_config(tmp_path, "pretrain_steps = 2\n")
+    assert main(["train", cfg, "--mode", "dividemix"]) == 0
+    snapshot = os.path.join(out_dir, "config_resolved.txt")
+    lines = open(snapshot).read().splitlines()
+    assert "pretrain_steps = 0" in lines and "mode = dividemix" in lines
     first = open(os.path.join(out_dir, "metrics.csv"), "rb").read()
     assert main(["train", snapshot]) == 0
     assert open(os.path.join(out_dir, "metrics.csv"), "rb").read() == first

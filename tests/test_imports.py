@@ -3,10 +3,11 @@ that module, every module-level private name a module under src/codim or
 scripts/ defines is referenced elsewhere in it, every public top-level
 function and class of src/codim and every attribute a codim class sets has
 a reader outside tests/, every defaulted parameter of src/codim is set by a
-caller outside tests/, scripts/reproduce.py builds its runs only from
-config text, every random stream of the trainers has its own tag, and every
-codim name the benchmark under bench/ calls or expects to see traced still
-resolves."""
+caller outside tests/, no function of src/codim converts its own
+parameters with np.asarray or np.array beyond the listed ones,
+scripts/reproduce.py builds its runs only from config text, every random
+stream of the trainers has its own tag, and every codim name the benchmark
+under bench/ calls or expects to see traced still resolves."""
 
 import ast
 import importlib
@@ -242,6 +243,68 @@ def test_every_attribute_a_codim_class_sets_has_a_reader():
     defining = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
     reading = [path.read_text(encoding="utf-8") for path in CODE + list(BENCH.glob("*.py"))]
     assert unread_attributes(defining, reading) == sorted(UNREAD_ATTRIBUTES)
+
+
+# np.asarray / np.array calls of src/codim on their function's own parameters,
+# as "module.[Class.]function(parameter)", each with why the conversion stays:
+# every other function takes the ndarray its callers build
+KEPT_CONVERSIONS = {
+    "tensor.Tensor.__init__(data)": "loss nodes hand it a scalar value",
+    "tensor.mixmatch_loss(is_labeled)": "a 0/1 int mask would index rows, not mask them",
+    "metrics.auc_score(positives)": "a 0/1 int mask would index rows, not mask them",
+    "models.ModelTriple.load_state_dict(values)": "each parameter gets its own buffer",
+    "data.write_idx_images(images)": "an item 8 fixture writer: it sets the byte type",
+    "data.write_idx_labels(labels)": "an item 8 fixture writer: it sets the byte type",
+}
+
+
+def parameter_conversions(source: str) -> list[str]:
+    """``[Class.]function(parameter)`` for every ``np.asarray`` or ``np.array``
+    call in ``source`` whose first argument is a parameter of an enclosing
+    function other than ``self``, or a subscript or attribute of one."""
+    found = []
+
+    def visit(node, label: str, params: frozenset):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = params
+                if isinstance(child, ast.FunctionDef):
+                    a = child.args
+                    inner |= {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                              a.vararg, a.kwarg] if x} - {"self"}
+                visit(child, f"{label}.{child.name}".lstrip("."), inner)
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and child.args
+                    and getattr(func, "attr", None) in ("asarray", "array")
+                    and getattr(func.value, "id", None) == "np"):
+                root = child.args[0]
+                while isinstance(root, (ast.Subscript, ast.Attribute)):
+                    root = root.value
+                if getattr(root, "id", None) in params:
+                    found.append(f"{label}({root.id})")
+            visit(child, label, params)
+
+    visit(ast.parse(source), "", frozenset())
+    return found
+
+
+def test_detects_parameter_conversion():
+    source = ("def f(a, b, *, c):\n    x = np.asarray(a)\n    y = np.array(b[0], float)\n"
+              "    np.asarray(x)\n    np.zeros(c)\n"
+              "    def g(d):\n        return np.asarray(d.T + 1), np.array(c.w)\n\n"
+              "class K:\n    def m(self, e):\n        np.asarray(self.e)\n"
+              "        return np.asarray(e)\n")
+    assert parameter_conversions(source) == ["f(a)", "f(b)", "f.g(c)", "K.m(e)"]
+
+
+def test_no_function_converts_its_parameters():
+    """A conversion the callers do not need hides a caller that passes the
+    wrong type; each name in KEPT_CONVERSIONS must still convert, so the
+    list cannot outlive its reason."""
+    found = [f"{path.stem}.{label}" for path in sorted(SRC.glob("*.py"))
+             for label in parameter_conversions(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(KEPT_CONVERSIONS)
 
 
 # what config.make_dataset and make_train_config build from a config's values

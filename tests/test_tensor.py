@@ -78,7 +78,7 @@ def test_matmul_relu_softmax_cross_entropy_l2_normalize_values():
                           [[-0.5, 3.0, -3.0]])
     logits = Tensor([[0.0, 1.0]])
     want = np.log(1.0 + np.e) - 1.0
-    assert np.isclose(T.softmax_cross_entropy(logits, [[0.0, 1.0]]).item(), want)
+    assert np.isclose(T.softmax_cross_entropy(logits, np.array([[0.0, 1.0]])).item(), want)
     assert np.allclose(T.l2_normalize(Tensor([[3.0, 4.0]])).data, [[0.6, 0.8]])
 
 
@@ -113,7 +113,7 @@ def test_softmax_cross_entropy_matches_numpy_and_is_stable():
     got = T.softmax_cross_entropy(Tensor(x), np.eye(7)[labels]).item()
     want = np.mean(np.log(np.exp(x).sum(axis=1)) - x[np.arange(5), labels])
     assert np.isclose(got, want, atol=1e-12)
-    big = T.softmax_cross_entropy(Tensor([[1000.0, 1000.0]]), [[1.0, 0.0]])
+    big = T.softmax_cross_entropy(Tensor([[1000.0, 1000.0]]), np.array([[1.0, 0.0]]))
     assert np.isfinite(big.item())
     assert np.isclose(big.item(), np.log(2.0))
 
@@ -289,6 +289,21 @@ def test_gradient_accumulates_across_shared_use():
     loss = mm(mm(Tensor(np.ones((1, 3))), add(a, a)), Tensor(np.ones((3, 1))))
     loss.backward()  # a used twice
     assert np.array_equal(a.grad, 2.0 * np.ones((3, 3)))
+
+
+def test_a_second_backward_pass_adds_one_pass():
+    """Each pass first clears what the pass before it left in the graph's
+    inner nodes, so a second pass over one graph adds exactly one pass's
+    gradient to every leaf, bit for bit."""
+    r = rng_for(11)
+    params = [leaf(r, 3, 4), leaf(r, 4), leaf(r, 4, 2), leaf(r, 2)]
+    h = T.matmul(Tensor(r.normal(size=(5, 3))), *params[:2], relu=True)
+    loss = T.softmax_cross_entropy(T.matmul(h, *params[2:]), np_softmax(r.normal(size=(5, 2))))
+    loss.backward()
+    once = [p.grad.copy() for p in params]
+    loss.backward()
+    for p, g in zip(params, once):
+        assert np.array_equal(p.grad, g + g)
 
 
 def test_shared_gradient_buffers_are_never_written():

@@ -541,6 +541,28 @@ def test_step_with_terms_is_the_summed_graph(mode):
         assert np.array_equal(np.signbit(p.grad), np.signbit(q.grad)), name
 
 
+def test_step_terms_on_one_shared_node_match_separate_forward_passes():
+    """A term (weight 0.5) and a loss on one shared logits node, stepped by
+    ``_step``, give the gradients and parameters of the same two losses on
+    two forward passes, bit for bit: no backward pass adds on top of what
+    the one before it left in the shared node."""
+    ds = small_dataset()
+    cfg = small_config()
+    x, labels = ds.x[:12], ds.noisy_labels[:12]
+    targets = [one_hot(labels, ds.num_classes),
+               one_hot((labels + 1) % ds.num_classes, ds.num_classes)]
+    results = []
+    for shared in (True, False):
+        net = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=3)
+        logits = net.forward_logits(x)
+        term = T.softmax_cross_entropy(logits if shared else net.forward_logits(x), targets[1])
+        trainers._step(cfg.sgd(net.params()), T.softmax_cross_entropy(logits, targets[0]),
+                       [(0.5, term)])
+        results.append(([p.grad.tobytes() for p in net.params("feat", "cls").values()],
+                        [v.tobytes() for v in net.state_dict().values()]))
+    assert results[0] == results[1]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_with_a_non_finite_term_moves_nothing():
     """A NaN term raises before any backward pass or parameter update."""
