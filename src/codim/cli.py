@@ -45,8 +45,8 @@ def _build_id() -> str:
 
 def _prepare_run_dir(values: dict) -> str:
     """Write the config snapshot and manifest into ``out_dir``: call it only
-    once the config, dataset and inputs have been accepted, so a rejected run
-    leaves an earlier run's files alone."""
+    once the run has finished, so a rejected or failed run leaves an earlier
+    run's files alone."""
     out_dir = values["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     snapshot = resolved_config_text(values)
@@ -91,14 +91,16 @@ def cmd_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     values, ds, cfg = _load_run(args)
-    out_dir = _prepare_run_dir(values)
+    if cfg.pretrain_steps == 0:
+        raise ConfigError(f"pretrain_steps = 0 under mode = {values['mode']}: "
+                          "nothing to pre-train")
     model = ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=cfg.seed)
     losses = pretrain_selfcon(ds, model, cfg)
+    out_dir = _prepare_run_dir(values)
     save_checkpoint(os.path.join(out_dir, "pretrain.ckpt"), model.state_dict())
     write_csv(os.path.join(out_dir, "pretrain_loss.csv"), ["step", "loss"],
               range(len(losses)), losses)
-    final = losses[-1] if losses else float("nan")
-    print(f"pre-trained {cfg.pretrain_steps} steps, final loss {final:.4f}; "
+    print(f"pre-trained {cfg.pretrain_steps} steps, final loss {losses[-1]:.4f}; "
           f"checkpoint in {out_dir}")
     return 0
 
@@ -111,15 +113,13 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--pretrained needs a pre-trained mode; {values['mode']} "
                           "trains from scratch")
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
-    if pretrained is not None:  # a checkpoint that does not fit the model writes nothing
-        ModelTriple(cfg.arch(ds.dim, ds.num_classes), seed=cfg.seed).load_state_dict(pretrained)
-    out_dir = _prepare_run_dir(values)
     if values["mode"] == "ce":
         net, record = train_ce(ds, cfg)
         nets = {"net_a": net}
     else:
         duo, record = train_codim(ds, cfg, pretrained_state=pretrained)
         nets = {"net_a": duo.net_a, "net_b": duo.net_b}
+    out_dir = _prepare_run_dir(values)
     for name, net in nets.items():
         save_checkpoint(os.path.join(out_dir, f"{name}.ckpt"), net.state_dict())
     export_embeddings_2d(nets["net_a"], ds.test_x, ds.test_labels,
@@ -134,8 +134,8 @@ def cmd_cssl(args) -> int:
     # trusted labels, and the snapshot records the mode that train_cssl runs
     values, ds, cfg = _load_run(args, labeled_ratio=args.labeled_ratio,
                                 noise_kind="none", mode="cssl")
-    out_dir = _prepare_run_dir(values)
     net, record = train_cssl(ds, cfg)
+    out_dir = _prepare_run_dir(values)
     record.to_csv(os.path.join(out_dir, "metrics.csv"))
     save_checkpoint(os.path.join(out_dir, "net_a.ckpt"), net.state_dict())
     print(f"labeled_ratio={cfg.labeled_ratio}  "

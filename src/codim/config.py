@@ -12,7 +12,6 @@ from dataclasses import fields
 from .contrastive import AugmentSpec
 from .data import BlobSpec, Dataset, gen_blobs
 from .errors import ConfigError, ParameterError
-from .mixmatch import SslHyper
 from .noise import NOISE_KINDS, NoiseSpec
 from .trainers import MODES, TrainConfig
 
@@ -71,7 +70,6 @@ SCHEMA: dict[str, tuple] = {
             ratio={"noise_ratio": (float, 0.4)}, seed={"noise_seed": (int, 1)}),
     **_keys(AugmentSpec, scale_range={"scale_lo": (float, AugmentSpec.scale_range[0]),
                                       "scale_hi": (float, AugmentSpec.scale_range[1])}),
-    **_keys(SslHyper),
     **_keys(TrainConfig,
             mode={"mode": (_choice(*MODES, *MODE_ALIASES), TrainConfig.mode)},
             feat_hidden={"feat_hidden": (str, ",".join(map(str, TrainConfig.feat_hidden)))}),
@@ -141,4 +139,4 @@ def make_train_config(values: dict) -> TrainConfig:
         raise ConfigError(f"bad feat_hidden {values['feat_hidden']!r}") from exc
     aug = _build(AugmentSpec, values, scale_range=(values["scale_lo"], values["scale_hi"]))
     return _build(TrainConfig, values, **MODE_ALIASES.get(values["mode"], {}),
-                  feat_hidden=feat_hidden, ssl=_build(SslHyper, values), aug=aug)
+                  feat_hidden=feat_hidden, aug=aug)

@@ -1,11 +1,9 @@
 """Semi-supervised objective: label guessing, sharpening, MixUp and the
-three-term loss (labeled cross-entropy, unlabeled L2, uniform-prior
-regularizer with linearly ramped unlabeled weight).
+three-term loss (labeled cross-entropy, unlabeled L2 and uniform-prior
+regularizer, the last two weighted by the caller).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,29 +11,6 @@ from . import tensor as T
 from .contrastive import AugmentSpec, augment
 from .errors import DegenerateInputError, ParameterError
 from .models import ModelTriple
-
-
-@dataclass
-class SslHyper:
-    lambda_u: float = 25.0
-    lambda_r: float = 1.0
-    sharpen_t: float = 0.5
-    mixup_alpha: float = 4.0
-    num_augs: int = 2
-    warmup_ramp_epochs: int = 16
-
-    def __post_init__(self):
-        ParameterError.check(self, ">= 0", "lambda_u", "lambda_r", "warmup_ramp_epochs")
-        ParameterError.check(self, "invertible", "sharpen_t")
-        ParameterError.check(self, "in (0, 1]", "sharpen_t")
-        ParameterError.check(self, "> 0", "mixup_alpha")
-        ParameterError.check(self, ">= 1", "num_augs")
-
-    def ramped_lambda_u(self, epoch: float) -> float:
-        """Linear 0 -> lambda_u over warmup_ramp_epochs; full weight if 0 (no ramp)."""
-        if self.warmup_ramp_epochs == 0:
-            return self.lambda_u
-        return self.lambda_u * float(np.clip(epoch / self.warmup_ramp_epochs, 0.0, 1.0))
 
 
 def sharpen(p: np.ndarray, t: float) -> np.ndarray:
@@ -65,12 +40,11 @@ def mean_weak_proba(nets: tuple[ModelTriple, ...], x: np.ndarray, spec: AugmentS
 
 
 def guess_labels(nets: tuple[ModelTriple, ...], u: np.ndarray, spec: AugmentSpec,
-                 hyper: SslHyper, rng: np.random.Generator) -> np.ndarray:
-    """Co-guessing: average every net's softmax over weak views, then sharpen."""
+                 num_augs: int, t: float, rng: np.random.Generator) -> np.ndarray:
+    """Co-guessing: every net's mean softmax over weak views, sharpened by ``t``."""
     if u.shape[0] < 1:
         raise DegenerateInputError("guess_labels: empty batch")
-    return sharpen(mean_weak_proba(nets, u, spec, hyper.num_augs, rng),
-                   hyper.sharpen_t)
+    return sharpen(mean_weak_proba(nets, u, spec, num_augs, rng), t)
 
 
 def co_refine(clean_prob: np.ndarray, noisy_one_hot: np.ndarray,
@@ -109,8 +83,7 @@ def build_semi_batch(x_lab: np.ndarray, p_lab: np.ndarray, x_unl: np.ndarray,
 
 
 def semi_loss(m: ModelTriple, x: np.ndarray, targets: np.ndarray, is_labeled: np.ndarray,
-              hyper: SslHyper, epoch: float):
+              lambda_u: float, lambda_r: float):
     """Return the floats Lx, Lu, Lreg and the total loss's node for one mixed
-    batch, Lu weighted by the ramped lambda_u of ``epoch``."""
-    return T.mixmatch_loss(m.forward_logits(x), targets, is_labeled,
-                           hyper.ramped_lambda_u(epoch), hyper.lambda_r)
+    batch, Lu weighted by ``lambda_u`` and Lreg by ``lambda_r``."""
+    return T.mixmatch_loss(m.forward_logits(x), targets, is_labeled, lambda_u, lambda_r)

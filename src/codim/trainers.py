@@ -14,8 +14,8 @@ from .contrastive import (AugmentSpec, augment, make_view_batch, self_con_loss,
 from .data import Dataset
 from .errors import DegenerateInputError, ParameterError
 from .metrics import auc_score, consistency_metric, test_accuracy, write_csv
-from .mixmatch import (SslHyper, build_semi_batch, co_refine, guess_labels,
-                       mean_weak_proba, one_hot, semi_loss)
+from .mixmatch import (build_semi_batch, co_refine, guess_labels, mean_weak_proba,
+                       one_hot, semi_loss)
 from .models import Arch, DuoModel, Mlp, ModelTriple
 from .noise import partition_by_losses
 from .tensor import SGD, Tensor
@@ -27,6 +27,12 @@ CONSISTENCY_ROWS = 256
 
 @dataclass
 class TrainConfig:
+    lambda_u: float = 25.0
+    lambda_r: float = 1.0
+    sharpen_t: float = 0.5
+    mixup_alpha: float = 4.0
+    num_augs: int = 2
+    warmup_ramp_epochs: int = 16
     pretrain_steps: int = 500
     warmup_epochs: int = 5
     epochs: int = 30
@@ -42,7 +48,6 @@ class TrainConfig:
     tau2: float = 0.5
     tau3: float = 0.07
     mode: str = "sup"
-    ssl: SslHyper = field(default_factory=SslHyper)
     aug: AugmentSpec = field(default_factory=AugmentSpec)
     gmm_threshold: float = 0.5
     label_correction: bool = False
@@ -55,6 +60,11 @@ class TrainConfig:
     labeled_ratio: float = 0.2
 
     def __post_init__(self):
+        ParameterError.check(self, ">= 0", "lambda_u", "lambda_r", "warmup_ramp_epochs")
+        ParameterError.check(self, "invertible", "sharpen_t")
+        ParameterError.check(self, "in (0, 1]", "sharpen_t")
+        ParameterError.check(self, "> 0", "mixup_alpha")
+        ParameterError.check(self, ">= 1", "num_augs")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         ParameterError.check(self, ">= 0", "pretrain_steps", "warmup_epochs", "iters_per_epoch",
@@ -80,6 +90,12 @@ class TrainConfig:
     def lr_at(self, epoch: int) -> float:
         """``lr``, divided by ``lr_drop_factor`` from epoch ``epochs // 2`` on."""
         return self.lr / self.lr_drop_factor if epoch >= self.epochs // 2 else self.lr
+
+    def ramped_lambda_u(self, epoch: float) -> float:
+        """Linear 0 -> lambda_u over warmup_ramp_epochs; full weight if 0 (no ramp)."""
+        if self.warmup_ramp_epochs == 0:
+            return self.lambda_u
+        return self.lambda_u * float(np.clip(epoch / self.warmup_ramp_epochs, 0.0, 1.0))
 
     def sgd(self, params: dict[str, Tensor], lr: float | None = None) -> SGD:
         return SGD(params, lr=self.lr if lr is None else lr, momentum=self.momentum,
@@ -227,13 +243,14 @@ def _mixmatch_step(net: ModelTriple, guessers: tuple[ModelTriple, ...], opt: SGD
     (labeled rows with their ``targets``), and each weighted contrastive term
     of ``mode`` joins the step. Returns the values of Lx, Lu, Lreg and Lcl."""
     if len(x_unl) > 0:
-        guessed = guess_labels(guessers, x_unl, cfg.aug, cfg.ssl, rng)
+        guessed = guess_labels(guessers, x_unl, cfg.aug, cfg.num_augs, cfg.sharpen_t, rng)
         x_unl_s = augment(x_unl, cfg.aug, "strong", rng)
     else:
         x_unl_s, guessed = x_unl, np.zeros((0, targets.shape[1]))
     x_lab_s = augment(x_lab, cfg.aug, "strong", rng)
-    mixed = build_semi_batch(x_lab_s, targets, x_unl_s, guessed, cfg.ssl.mixup_alpha, rng)
-    lx, lu, lreg, total = semi_loss(net, *mixed, cfg.ssl, float(epoch))
+    mixed = build_semi_batch(x_lab_s, targets, x_unl_s, guessed, cfg.mixup_alpha, rng)
+    lx, lu, lreg, total = semi_loss(net, *mixed, cfg.ramped_lambda_u(float(epoch)),
+                                    cfg.lambda_r)
     # drawn after the mix, so the views follow it in the rng stream
     terms = _contrastive_terms(net, cfg, mode, x_lab, labels, x_unl, rng)
     _step(opt, total, terms)
@@ -322,10 +339,10 @@ class CodimTrainer:
             x_lab, x_unl = data.x[lab_idx], data.x[unl_idx]
             noisy_lab = data.noisy_labels[lab_idx]
             # weak views answer label queries, strong views carry gradients
-            own_pred = mean_weak_proba((net,), x_lab, cfg.aug, cfg.ssl.num_augs, rng)
+            own_pred = mean_weak_proba((net,), x_lab, cfg.aug, cfg.num_augs, rng)
             refined = co_refine(part.clean_prob[lab_idx],
                                 one_hot(noisy_lab, data.num_classes),
-                                own_pred, cfg.ssl.sharpen_t)
+                                own_pred, cfg.sharpen_t)
             return _mixmatch_step(net, nets, self.opts[j], cfg, cfg.mode, x_lab, noisy_lab,
                                   refined, x_unl, epoch, rng)
 

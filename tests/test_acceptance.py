@@ -24,7 +24,7 @@ from codim.contrastive import self_con_loss, sup_con_loss
 from codim.data import (IDX_IMAGES_MAGIC, BlobSpec, _read_idx, gen_blobs,
                         write_idx_images)
 from codim.errors import IdxParseError
-from codim.mixmatch import SslHyper, build_semi_batch, one_hot, semi_loss
+from codim.mixmatch import build_semi_batch, one_hot, semi_loss
 from codim.models import Arch, ModelTriple
 from codim.noise import NoiseSpec, fit_gmm_1d, inject_noise
 from codim.tensor import Tensor
@@ -99,7 +99,9 @@ def test_criterion_1_gradient_suite():
     batch = build_semi_batch(rng.normal(size=(3, 3)), one_hot(np.array([0, 1, 2]), 3),
                              rng.normal(size=(4, 3)), rng.dirichlet(np.ones(3), size=4),
                              4.0, rng)
-    e2e = check_gradients(lambda: semi_loss(m, *batch, SslHyper(), 2.0)[3],
+    cfg = TrainConfig()
+    e2e = check_gradients(lambda: semi_loss(m, *batch, cfg.ramped_lambda_u(2.0),
+                                            cfg.lambda_r)[3],
                           list(m.params().values()), tol=1e-5, max_entries=4)
     elapsed = time.time() - start
     ok = elapsed < 60.0

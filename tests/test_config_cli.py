@@ -28,7 +28,6 @@ from codim.config import (SCHEMA, load_config, make_dataset, make_train_config,
 from codim.contrastive import AugmentSpec
 from codim.data import BlobSpec, gen_blobs
 from codim.errors import ConfigError
-from codim.mixmatch import SslHyper
 from codim.noise import NoiseSpec, partition_losses
 from codim.trainers import RUN_RECORD_HEADER, TrainConfig, train_cssl
 
@@ -682,7 +681,7 @@ OUT_OF_RANGE = [(key, bad) for key, (parser, _) in SCHEMA.items() if parser in (
 
 def test_out_of_range_walk_covers_every_numeric_field():
     walked = {key for key, _ in OUT_OF_RANGE}
-    for cls in (BlobSpec, NoiseSpec, AugmentSpec, SslHyper, TrainConfig):
+    for cls in (BlobSpec, NoiseSpec, AugmentSpec, TrainConfig):
         for f in fields(cls):
             if getattr(f.type, "__name__", f.type) in ("int", "float"):
                 assert {f.name, f"data_{f.name}", f"noise_{f.name}"} & walked, f.name
@@ -708,6 +707,32 @@ def test_cli_rejected_config_leaves_earlier_run_dir_alone(tmp_path, capsys, comm
     assert "lambda_sup" in capsys.readouterr().err
     for name, content in kept.items():
         assert open(os.path.join(out_dir, name), "rb").read() == content, name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["pretrain", "train", "cssl"])
+def test_cli_failed_run_leaves_earlier_run_dir_alone(tmp_path, capsys, command):
+    """A run whose loss overflows fails before it writes a file, so the
+    earlier run's snapshot and manifest still describe the files beside them."""
+    cfg, out_dir = write_config(tmp_path)
+    assert main([command, cfg]) == 0
+    kept = {name: open(os.path.join(out_dir, name), "rb").read()
+            for name in os.listdir(out_dir)}
+    bad, _ = write_config(tmp_path, "seed = 5\nlr = 1e300\n")
+    assert main([command, bad]) == 3
+    assert "training loss is nan" in capsys.readouterr().err
+    assert sorted(os.listdir(out_dir)) == sorted(kept)
+    for name, content in kept.items():
+        assert open(os.path.join(out_dir, name), "rb").read() == content, name
+
+
+@pytest.mark.parametrize("extra", ["pretrain_steps = 0\n", "mode = dividemix\n"],
+                         ids=["zero-steps", "dividemix"])
+def test_cli_pretrain_with_nothing_to_pretrain_exits_2(tmp_path, capsys, extra):
+    cfg, out_dir = write_config(tmp_path, extra)
+    assert main(["pretrain", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: pretrain_steps = 0 ")
+    assert not os.path.exists(out_dir)
 
 
 @pytest.mark.parametrize("text", [
@@ -811,10 +836,9 @@ def test_every_train_field_is_settable_from_config():
     by_hand = {"mode": "cssl", "feat_hidden": "16,8",
                "scale_range": "scale_lo = 0.8\nscale_hi = 1.3"}
     wanted = {"mode": "cssl", "feat_hidden": (16, 8), "scale_range": (0.8, 1.3)}
-    for owner, path in ((TrainConfig(), ()), (SslHyper(), ("ssl",)),
-                        (AugmentSpec(), ("aug",))):
+    for owner, path in ((TrainConfig(), ()), (AugmentSpec(), ("aug",))):
         for f in fields(owner):
-            if f.name in ("ssl", "aug"):
+            if f.name == "aug":
                 continue
             default = getattr(owner, f.name)
             if f.name in by_hand:

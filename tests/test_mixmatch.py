@@ -7,9 +7,10 @@ import scipy.stats
 
 from codim.contrastive import AugmentSpec, augment
 from codim.errors import DegenerateInputError, ParameterError
-from codim.mixmatch import (SslHyper, build_semi_batch, co_refine, guess_labels,
-                            mean_weak_proba, mixup, one_hot, semi_loss, sharpen)
+from codim.mixmatch import (build_semi_batch, co_refine, guess_labels, mean_weak_proba,
+                            mixup, one_hot, semi_loss, sharpen)
 from codim.models import Arch, DuoModel, ModelTriple
+from codim.trainers import TrainConfig
 
 from conftest import check_gradients, rng_for
 
@@ -104,10 +105,9 @@ def test_mixup_weight_distribution_matches_folded_beta():
 
 def test_guess_labels_matches_manual_loop():
     duo = make_duo()
-    hyper = SslHyper(num_augs=3, sharpen_t=0.5)
     spec = AugmentSpec()
     u = rng_for(0xC3).normal(size=(6, 3))
-    got = guess_labels(duo.nets, u, spec, hyper, rng_for(0xC4))
+    got = guess_labels(duo.nets, u, spec, 3, 0.5, rng_for(0xC4))
     # replicate: same rng stream drives the augmentations in order
     rng = rng_for(0xC4)
     acc = np.zeros((6, 3))
@@ -118,7 +118,7 @@ def test_guess_labels_matches_manual_loop():
     assert np.allclose(got, want, atol=1e-14)
     assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(DegenerateInputError):
-        guess_labels(duo.nets, np.zeros((0, 3)), spec, hyper, rng)
+        guess_labels(duo.nets, np.zeros((0, 3)), spec, 3, 0.5, rng)
 
 
 @pytest.mark.parametrize("num_nets", [1, 2])
@@ -183,13 +183,13 @@ def manual_semi_loss(m, x, targets, lab, hyper, epoch):
 
 def test_semi_loss_matches_numpy_oracle():
     duo = make_duo()
-    hyper = SslHyper()
+    cfg = TrainConfig()
     rng = rng_for(0xC6)
     batch = build_semi_batch(rng.normal(size=(4, 3)), one_hot(np.array([0, 1, 2, 1]), 3),
                              rng.normal(size=(6, 3)), rng.dirichlet(np.ones(3), size=6),
                              4.0, rng)
-    lx, lu, lreg, total = semi_loss(duo.net_a, *batch, hyper, epoch=3.0)
-    mx, mu, mreg, mtotal = manual_semi_loss(duo.net_a, *batch, hyper, 3.0)
+    lx, lu, lreg, total = semi_loss(duo.net_a, *batch, cfg.ramped_lambda_u(3.0), cfg.lambda_r)
+    mx, mu, mreg, mtotal = manual_semi_loss(duo.net_a, *batch, cfg, 3.0)
     assert lx == pytest.approx(mx, abs=1e-10)
     assert lu == pytest.approx(mu, abs=1e-10)
     assert lreg == pytest.approx(mreg, abs=1e-10)
@@ -200,44 +200,46 @@ def test_semi_loss_requires_labeled_rows():
     duo = make_duo()
     with pytest.raises(DegenerateInputError):
         semi_loss(duo.net_a, np.zeros((2, 3)), np.full((2, 3), 1.0 / 3.0),
-                  np.array([False, False]), SslHyper(), 0.0)
+                  np.array([False, False]), TrainConfig().ramped_lambda_u(0.0), 1.0)
 
 
 def test_semi_loss_end_to_end_gradient():
     duo = make_duo()
-    hyper = SslHyper()
+    cfg = TrainConfig()
     rng = rng_for(0xC7)
     batch = build_semi_batch(rng.normal(size=(3, 3)), one_hot(np.array([0, 1, 2]), 3),
                              rng.normal(size=(4, 3)), rng.dirichlet(np.ones(3), size=4),
                              4.0, rng)
     params = list(duo.net_a.params().values())
-    check_gradients(lambda: semi_loss(duo.net_a, *batch, hyper, 2.0)[3],
+    check_gradients(lambda: semi_loss(duo.net_a, *batch, cfg.ramped_lambda_u(2.0),
+                                      cfg.lambda_r)[3],
                     params, tol=1e-5, max_entries=6)
 
 
 def test_ramped_lambda_u():
-    hyper = SslHyper(lambda_u=20.0, warmup_ramp_epochs=10)
-    assert hyper.ramped_lambda_u(0.0) == 0.0
-    assert hyper.ramped_lambda_u(5.0) == pytest.approx(10.0)
-    assert hyper.ramped_lambda_u(25.0) == 20.0
-    assert SslHyper(lambda_u=7.0, warmup_ramp_epochs=0).ramped_lambda_u(0.0) == 7.0
+    cfg = TrainConfig(lambda_u=20.0, warmup_ramp_epochs=10)
+    assert cfg.ramped_lambda_u(0.0) == 0.0
+    assert cfg.ramped_lambda_u(5.0) == pytest.approx(10.0)
+    assert cfg.ramped_lambda_u(25.0) == 20.0
+    assert TrainConfig(lambda_u=7.0, warmup_ramp_epochs=0).ramped_lambda_u(0.0) == 7.0
 
 
 def test_ssl_hyper_validation():
+    """The range rules of TrainConfig's six MixMatch fields."""
     with pytest.raises(ParameterError):
-        SslHyper(lambda_u=-1.0)
+        TrainConfig(lambda_u=-1.0)
     with pytest.raises(ParameterError):
-        SslHyper(sharpen_t=0.0)
+        TrainConfig(sharpen_t=0.0)
     with pytest.raises(ParameterError):
-        SslHyper(mixup_alpha=0.0)
+        TrainConfig(mixup_alpha=0.0)
     for bad in ({"lambda_u": np.nan}, {"lambda_r": np.nan}, {"mixup_alpha": np.nan},
                 {"lambda_u": np.inf}, {"lambda_r": np.inf}, {"mixup_alpha": np.inf},
                 {"sharpen_t": 1e-320}, {"sharpen_t": np.nan}):
         (name, value), = bad.items()
         with pytest.raises(ParameterError, match=f"{name} = {value}"):
-            SslHyper(**bad)
+            TrainConfig(**bad)
     for name in ("warmup_ramp_epochs", "num_augs"):
         with pytest.raises(ParameterError, match=f"{name} = -1 must be >= "):
-            SslHyper(**{name: -1})
+            TrainConfig(**{name: -1})
     with pytest.raises(ParameterError, match="sharpen_t = 1.5"):
-        SslHyper(sharpen_t=1.5)
+        TrainConfig(sharpen_t=1.5)

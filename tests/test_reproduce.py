@@ -55,9 +55,12 @@ def test_main_usage_error_exits_2(monkeypatch, argv):
 
 @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "user-set"])
 def test_import_pins_blas_to_one_thread_unless_the_caller_set_it(preset):
-    """Run in a clean environment: each BLAS thread variable reads 1 once the
-    script is imported, except one the caller set, which is kept."""
-    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    """Run in a clean environment, apart from writing no bytecode: each BLAS
+    thread variable reads 1 once the script is imported, except one the
+    caller set, which is kept."""
+    env = {"PYTHONDONTWRITEBYTECODE": "1"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
     code = ("import os, reproduce; print(*(os.environ[v] for v in "
             "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
     out = subprocess.run([sys.executable, "-c", code], env=env,

@@ -357,7 +357,7 @@ def test_codim_epoch_predicts_an_exact_row_count(monkeypatch):
         return real_predict(net, x)
 
     def step(net, guessers, opt, cfg, mode, x_lab, labels, targets, x_unl, *rest):
-        queries.append(cfg.ssl.num_augs * (len(x_lab) + len(guessers) * len(x_unl)))
+        queries.append(cfg.num_augs * (len(x_lab) + len(guessers) * len(x_unl)))
         return real_step(net, guessers, opt, cfg, mode, x_lab, labels, targets, x_unl, *rest)
 
     monkeypatch.setattr(ModelTriple, "predict_proba", predict)
